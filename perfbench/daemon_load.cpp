@@ -5,18 +5,28 @@
 //  stream   `waveform` requests for wlan_80211a@24, drm@B and adsl with
 //           seeded burst counts; every sample is compared with a local
 //           core::Transmitter.
-//  jobs     fresh (never cached) small campaign decks: submit, poll
+//  jobs     fresh (never cached) small campaign decks, kJobsOutstanding
+//           at a time so the executor never idles: submit, poll
 //           `status` until done, fetch `result`; the curves are checked
 //           against an in-process sim::Campaign after the window.
-//  control  cached resubmits (must report cached), `status`, `result`
-//           and `ping`.
+//  control  per cycle a cached resubmit (must report cached), `status`,
+//           `result` and `ping`.
+//
+// The job and control connections run at the pace of the repository's
+// own client: `ofdm_client submit --wait` polls `status` every 100 ms
+// (tools/ofdm_client.cpp), and a control cycle is that command on a
+// deck the server already holds, plus a ping, once per poll interval.
+// The stream connection sends its next request as soon as the previous
+// one is answered, because waveform_msps is a throughput.
 //
 // The server keeps at most kTrackedJobs job records, so finished decks
 // fall out of the bookkeeping map and resubmits are answered from the
 // result cache. Only an admitted submit prunes that map; the job
 // connection's submits are therefore serialised with the control
 // connection's resubmit+status pair, which would otherwise race the
-// prune and see unknown_job.
+// prune and see unknown_job. A fresh job can still be pruned after it
+// finished and before its next poll; its status then reads unknown_job
+// and the `result` op, which falls back to the result cache, decides.
 #include <unistd.h>
 
 #include <atomic>
@@ -29,7 +39,9 @@
 #include "bench.hpp"
 #include "common/rng.hpp"
 #include "core/transmitter.hpp"
+#include "dsp/fft.hpp"
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
 #include "replay.hpp"
@@ -42,17 +54,19 @@ namespace {
 
 using namespace ofdm;
 
-constexpr int kSetupRepeats = 7;
+constexpr int kSetupRepeats = 15;
 constexpr std::size_t kCachedDecks = 3;
 constexpr std::size_t kTrackedJobs = kCachedDecks;
 constexpr std::size_t kJobTrials = 32;
 constexpr std::size_t kJobPoints = 2;
 constexpr std::size_t kProbedJobDecks = 16;
-constexpr auto kPollInterval = std::chrono::milliseconds(1);
-/// Pause between control cycles: without it the control connection
-/// alone keeps a client thread and a server thread spinning and the other
-/// two connections' figures follow the CPU scheduler.
-constexpr auto kControlThink = std::chrono::milliseconds(1);
+/// Fresh jobs the job connection keeps submitted: with a job running
+/// and two queued, the executor has work for longer than one poll
+/// interval, so the time between completions is the executor's.
+constexpr std::size_t kJobsOutstanding = 3;
+/// `status` poll interval of `ofdm_client submit --wait`; also the
+/// period of the control connection's cycles.
+constexpr auto kPollInterval = std::chrono::milliseconds(100);
 constexpr double kJobTimeoutS = 30.0;
 
 // Job-deck seed salts: fresh jobs, cached decks and set-up warm jobs
@@ -102,10 +116,12 @@ std::size_t request_bursts(std::uint64_t seed, std::size_t i) {
   return 1 + derive_seed(seed, 0x40000 + i) % kMaxBursts;
 }
 
+constexpr std::size_t kStreamKinds = 3;
+
 std::vector<StreamKind> stream_kinds(std::uint64_t seed) {
-  const char* standards[] = {"wlan_80211a@24", "drm@B", "adsl"};
+  const char* standards[kStreamKinds] = {"wlan_80211a@24", "drm@B", "adsl"};
   std::vector<StreamKind> kinds;
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < kStreamKinds; ++i) {
     StreamKind k;
     k.standard = standards[i];
     k.seed = derive_seed(seed, 20 + i) % (1ull << 40);  // exact as a JSON double
@@ -207,22 +223,29 @@ class SpanLog {
   std::vector<Span> spans_;
 };
 
-struct JobRun {
-  bool ok = false;
-  std::string why;
+/// A fresh job the job connection submitted and has not fetched yet.
+struct PendingJob {
+  std::string deck;
   std::string id;
-  std::string curves;
-  double queue_s = 0.0;  ///< submit until first `running` seen
-  double run_s = 0.0;    ///< first `running` until `done`
-  double done_s = 0.0;   ///< submit until `done`
-  double total_s = 0.0;  ///< submit until the result is back
+  Clock::time_point submitted;
+  Clock::time_point running{};  ///< first poll that saw it running
+  Clock::time_point done{};     ///< first poll that saw it finished
 };
 
-/// Submit a fresh deck, poll until done and fetch the curves. The
-/// submit runs under `prune_guard` (see the file comment).
-JobRun run_job(net::LineClient& c, const std::string& deck,
-               std::mutex& prune_guard, SpanLog& spans) {
-  JobRun jr;
+struct JobRun {
+  std::string deck;
+  std::string id;
+  std::string curves;
+  Clock::time_point done;  ///< first poll that saw it finished
+  double queue_s = 0.0;    ///< submit until first `running` seen
+  double done_s = 0.0;     ///< submit until `done` seen
+};
+
+/// Submit a fresh deck and add it to `pending`. The submit runs under
+/// `prune_guard` (see the file comment).
+bool submit_fresh(net::LineClient& c, const std::string& deck,
+                  std::mutex& prune_guard, SpanLog& spans,
+                  std::vector<PendingJob>& pending, std::string& why) {
   net::Json submit = op("submit");
   submit.set("deck", deck);
   net::Json reply;
@@ -235,57 +258,74 @@ JobRun run_job(net::LineClient& c, const std::string& deck,
   spans.add("net.submit", t0, Clock::now());
   if (!reply_ok(reply) || reply.str_or("state", "") != "queued" ||
       reply.find("cached") != nullptr) {
-    jr.why = "fresh submit not admitted: " + reply.dump();
-    return jr;
+    why = "fresh submit not admitted: " + reply.dump();
+    return false;
   }
-  const std::string id = reply.str_or("id", "");
-  jr.id = id;
-  net::Json status = op("status");
-  status.set("id", id);
-  Clock::time_point running{}, done{};
-  while (true) {
+  pending.push_back({deck, reply.str_or("id", ""), t0});
+  return true;
+}
+
+/// One poll round: `status` of every pending job, then `result` of the
+/// finished ones, which move from `pending` to `finished`. Returns
+/// false with `why` on a failed or timed-out job or a refused op.
+bool poll_jobs(net::LineClient& c, SpanLog& spans,
+               std::vector<PendingJob>& pending,
+               std::vector<JobRun>& finished, std::string& why) {
+  for (PendingJob& p : pending) {
+    net::Json status = op("status");
+    status.set("id", p.id);
     const auto ts = Clock::now();
     const net::Json st = c.request(status);
     const auto te = Clock::now();
     spans.add("net.status", ts, te);
     const std::string state = st.str_or("state", "");
-    if (!reply_ok(st)) {
-      jr.why = "status: " + st.dump();
-      return jr;
+    const bool pruned = st.str_or("error", "") == net::kErrUnknownJob;
+    if (state == "done" || pruned) {
+      p.done = te;
+    } else if (!reply_ok(st) || (state != "queued" && state != "running")) {
+      why = "status of job " + p.id + ": " + st.dump();
+      return false;
+    } else if (seconds_between(p.submitted, te) > kJobTimeoutS) {
+      why = "job " + p.id + " timed out";
+      return false;
     }
-    if (state == "running" && running == Clock::time_point{}) running = te;
-    if (state == "done") {
-      done = te;
-      break;
+    if (state == "running" && p.running == Clock::time_point{}) {
+      p.running = te;
     }
-    if (state != "queued" && state != "running") {
-      jr.why = "job " + id + " ended " + state;
-      return jr;
+  }
+  for (auto it = pending.begin(); it != pending.end();) {
+    if (it->done == Clock::time_point{}) {
+      ++it;
+      continue;
     }
-    if (seconds_between(t0, te) > kJobTimeoutS) {
-      jr.why = "job " + id + " timed out";
-      return jr;
+    net::Json result = op("result");
+    result.set("id", it->id);
+    const auto tr = Clock::now();
+    const net::Json res = c.request(result);
+    spans.add("net.result", tr, Clock::now());
+    if (!reply_ok(res) || res.str_or("state", "") != "done") {
+      why = "result of job " + it->id + ": " + res.dump();
+      return false;
     }
+    const Clock::time_point running =
+        it->running == Clock::time_point{} ? it->done : it->running;
+    finished.push_back({it->deck, it->id, res.str_or("curves", ""), it->done,
+                        seconds_between(it->submitted, running),
+                        seconds_between(it->submitted, it->done)});
+    it = pending.erase(it);
+  }
+  return true;
+}
+
+/// Poll every kPollInterval until no job is pending.
+bool wait_jobs(net::LineClient& c, SpanLog& spans,
+               std::vector<PendingJob>& pending,
+               std::vector<JobRun>& finished, std::string& why) {
+  while (!pending.empty()) {
     std::this_thread::sleep_for(kPollInterval);
+    if (!poll_jobs(c, spans, pending, finished, why)) return false;
   }
-  if (running == Clock::time_point{}) running = done;
-  const auto tr = Clock::now();
-  net::Json result = op("result");
-  result.set("id", id);
-  const net::Json res = c.request(result);
-  const auto te = Clock::now();
-  spans.add("net.result", tr, te);
-  if (!reply_ok(res) || res.str_or("state", "") != "done") {
-    jr.why = "result: " + res.dump();
-    return jr;
-  }
-  jr.ok = true;
-  jr.curves = res.str_or("curves", "");
-  jr.queue_s = seconds_between(t0, running);
-  jr.run_s = seconds_between(running, done);
-  jr.done_s = seconds_between(t0, done);
-  jr.total_s = seconds_between(t0, te);
-  return jr;
+  return true;
 }
 
 struct CachedDeck {
@@ -312,16 +352,22 @@ struct Daemon {
   }
 };
 
-/// Start, connect and warm up: one request of every waveform kind, a
-/// ping, the cached decks computed once, then a fresh job whose admission
-/// prunes their records so later resubmits hit the result cache.
-std::unique_ptr<Daemon> start_daemon(const Args& args, int k,
+/// Start the server, connect, and warm up: one single-burst request of
+/// every waveform kind, each the first request of one connection, and a
+/// ping. This is what set-up time measures; the FFT plan cache is
+/// process-wide, so it is emptied first and every set-up pays for
+/// filling it. A fresh TCP connection acknowledges at once, so these
+/// requests never wait out the delayed-ACK timer as the window's
+/// streamed requests can (the server writes each line separately,
+/// without TCP_NODELAY); that wait would make set-up time bimodal.
+std::unique_ptr<Daemon> start_daemon(int k,
                                      const std::vector<StreamKind>& kinds) {
   auto d = std::make_unique<Daemon>();
   d->state_dir = artefact_dir() + "/daemon-" + std::to_string(::getpid()) +
                  "-" + std::to_string(k);
   std::filesystem::remove_all(d->state_dir);
   std::filesystem::create_directories(d->state_dir);
+  dsp::fft_plan_cache_clear();
   net::ServerConfig cfg;
   cfg.jobs.executors = 1;
   cfg.jobs.pool_threads = 1;
@@ -334,11 +380,13 @@ std::unique_ptr<Daemon> start_daemon(const Args& args, int k,
   d->jobs.connect("127.0.0.1", port);
   d->control.connect("127.0.0.1", port);
 
-  for (const StreamKind& kind : kinds) {
+  net::LineClient* first[] = {&d->stream, &d->jobs, &d->control};
+  static_assert(std::size(first) == kStreamKinds);
+  for (std::size_t i = 0; i < kStreamKinds; ++i) {
+    const StreamKind& kind = kinds[i];
     cvec samples;
-    const net::Json r =
-        d->stream.waveform(waveform_request(kind, kMaxBursts), samples);
-    if (!reply_ok(r) || !stream_matches(samples, kind, kMaxBursts)) {
+    const net::Json r = first[i]->waveform(waveform_request(kind, 1), samples);
+    if (!reply_ok(r) || !stream_matches(samples, kind, 1)) {
       throw std::runtime_error("warm-up waveform " + kind.standard +
                                " failed: " + r.dump());
     }
@@ -346,18 +394,35 @@ std::unique_ptr<Daemon> start_daemon(const Args& args, int k,
   if (!reply_ok(d->control.request(op("ping")))) {
     throw std::runtime_error("warm-up ping failed");
   }
-  SpanLog warm_spans;  // not written
-  for (std::size_t j = 0; j < kCachedDecks; ++j) {
-    const std::string deck = job_deck(args.seed, kCachedSalt + j);
-    const JobRun jr = run_job(d->jobs, deck, d->prune_guard, warm_spans);
-    if (!jr.ok) throw std::runtime_error("warm-up job: " + jr.why);
-    d->cached.push_back({deck, jr.id, jr.curves});
-  }
-  const JobRun warm = run_job(
-      d->jobs, job_deck(args.seed, kWarmSalt + static_cast<std::uint64_t>(k)),
-      d->prune_guard, warm_spans);
-  if (!warm.ok) throw std::runtime_error("warm-up job: " + warm.why);
   return d;
+}
+
+/// Compute the cached decks once, then run a fresh job whose admission
+/// prunes their records, so later resubmits are answered from the
+/// result cache. Not part of set-up time: it is job computation, which
+/// the window measures.
+void fill_result_cache(Daemon& d, const Args& args) {
+  SpanLog spans;  // not written
+  std::vector<PendingJob> pending;
+  std::vector<JobRun> finished;
+  std::string why;
+  for (std::size_t j = 0; j < kCachedDecks; ++j) {
+    if (!submit_fresh(d.jobs, job_deck(args.seed, kCachedSalt + j),
+                      d.prune_guard, spans, pending, why)) {
+      throw std::runtime_error("warm-up job: " + why);
+    }
+  }
+  if (!wait_jobs(d.jobs, spans, pending, finished, why)) {
+    throw std::runtime_error("warm-up job: " + why);
+  }
+  for (const JobRun& jr : finished) {
+    d.cached.push_back({jr.deck, jr.id, jr.curves});
+  }
+  if (!submit_fresh(d.jobs, job_deck(args.seed, kWarmSalt), d.prune_guard,
+                    spans, pending, why) ||
+      !wait_jobs(d.jobs, spans, pending, finished, why)) {
+    throw std::runtime_error("warm-up job: " + why);
+  }
 }
 
 /// Per-connection records of the timed window.
@@ -373,8 +438,9 @@ struct Window {
   double stream_request_s = 0.0, stream_local_s = 0.0;
   // job connection
   std::vector<std::string> job_decks, job_curves;
-  std::vector<double> job_total_s, job_done_s, job_queue_s, job_run_s;
-  double job_elapsed_s = 0.0;
+  std::vector<double> job_done_s, job_queue_s;
+  std::vector<Clock::time_point> window_done;  ///< completions seen in time
+  std::size_t status_polls = 0;
   // control connection
   std::vector<double> ping_us, status_ms, result_ms, submit_cached_ms,
       request_ms;
@@ -416,25 +482,39 @@ void stream_loop(net::LineClient& c, const std::vector<StreamKind>& kinds,
   }
 }
 
+/// Keeps kJobsOutstanding fresh jobs submitted until the deadline,
+/// then waits for the last ones, so every submitted job is checked and
+/// the server's trial counters cover exactly the finished jobs.
 void job_loop(net::LineClient& c, std::mutex& prune_guard,
               std::uint64_t seed, Clock::time_point deadline, Window& w) {
-  const auto t0 = Clock::now();
-  for (std::uint64_t k = 0; Clock::now() < deadline; ++k) {
-    const std::string deck = job_deck(seed, kFreshSalt + k);
+  std::vector<PendingJob> pending;
+  std::vector<JobRun> finished;
+  std::string why;
+  std::uint64_t k = 0;
+  const auto submit_next = [&] {
     w.attempted.fetch_add(1);
-    const JobRun jr = run_job(c, deck, prune_guard, w.spans);
-    if (!jr.ok) {
-      w.error(jr.why);
-      continue;
-    }
-    w.job_decks.push_back(deck);
-    w.job_curves.push_back(jr.curves);
-    w.job_total_s.push_back(jr.total_s);
-    w.job_done_s.push_back(jr.done_s);
-    w.job_queue_s.push_back(jr.queue_s);
-    w.job_run_s.push_back(jr.run_s);
+    return submit_fresh(c, job_deck(seed, kFreshSalt + k++), prune_guard,
+                        w.spans, pending, why);
+  };
+  for (std::size_t i = 0; i < kJobsOutstanding; ++i) {
+    if (!submit_next()) return w.error(why);
   }
-  w.job_elapsed_s = seconds_between(t0, Clock::now());
+  while (!pending.empty()) {
+    std::this_thread::sleep_for(kPollInterval);
+    w.status_polls += pending.size();
+    finished.clear();
+    if (!poll_jobs(c, w.spans, pending, finished, why)) return w.error(why);
+    for (const JobRun& jr : finished) {
+      w.job_decks.push_back(jr.deck);
+      w.job_curves.push_back(jr.curves);
+      w.job_done_s.push_back(jr.done_s);
+      w.job_queue_s.push_back(jr.queue_s);
+      if (jr.done < deadline) {
+        w.window_done.push_back(jr.done);
+        if (!submit_next()) return w.error(why);
+      }
+    }
+  }
 }
 
 void control_loop(net::LineClient& c, const std::vector<CachedDeck>& cached,
@@ -481,7 +561,7 @@ void control_loop(net::LineClient& c, const std::vector<CachedDeck>& cached,
     }
     const net::Json pong = timed("net.ping", op("ping"), w.ping_us, 1e6);
     if (!reply_ok(pong)) w.error("ping: " + pong.dump());
-    std::this_thread::sleep_for(kControlThink);
+    std::this_thread::sleep_for(kPollInterval);
   }
 }
 
@@ -528,9 +608,10 @@ Outcome run_daemon_mix(const Args& args) {
   for (int k = 0; k < kSetupRepeats; ++k) {
     d.reset();  // the previous instance stops outside the timed part
     const auto t0 = Clock::now();
-    d = start_daemon(args, k, kinds);
+    d = start_daemon(k, kinds);
     setup_s.push_back(seconds_between(t0, Clock::now()));
   }
+  fill_result_cache(*d, args);
 
   const net::Json before = d->control.request(op("stats"));
   Window w;
@@ -584,6 +665,16 @@ Outcome run_daemon_mix(const Args& args) {
   if (w.job_decks.empty() || w.cycle_msps.empty() || w.ping_us.empty()) {
     out.fail("a connection completed no operation", 1);
   }
+  // Executor time per job: the job connection keeps the executor busy,
+  // so completions are one job run apart. Each completion is seen up to
+  // one poll interval late, which over the window is well under 1%.
+  double job_run_s = 0.0;
+  if (w.window_done.size() >= 2) {
+    job_run_s = seconds_between(w.window_done.front(), w.window_done.back()) /
+                static_cast<double>(w.window_done.size() - 1);
+  } else {
+    out.fail("fewer than two jobs finished in the window", 1);
+  }
 
   // Job curves against in-process campaigns of the same decks; in a
   // traced run the first decks also get the replay probe.
@@ -611,11 +702,17 @@ Outcome run_daemon_mix(const Args& args) {
     }
   }
 
+  // Job connection: one submit and one result per job plus its polls.
+  const std::size_t status_ops = w.status_polls + w.status_ms.size();
+  const std::size_t requests = w.waveform_ms.size() + 2 * w.job_decks.size() +
+                               w.status_polls + w.request_ms.size();
   std::cerr << "perfbench: daemon_mix: " << w.waveform_ms.size()
             << " waveform requests, " << w.job_decks.size() << " jobs, "
-            << w.request_ms.size() << " control ops\n";
+            << w.request_ms.size() << " control ops; " << status_ops
+            << " of " << requests << " requests are status polls\n";
   if (!args.trace) {
-    out.put("trials_per_s", trials_per_job / median(w.job_total_s), "1/s");
+    out.put("trials_per_s", job_run_s > 0.0 ? trials_per_job / job_run_s : 0.0,
+            "1/s");
     out.put("waveform_msps", median(w.cycle_msps), "Msps");
     out.put("setup_s", median(setup_s), "s");
     return out;
@@ -626,7 +723,7 @@ Outcome run_daemon_mix(const Args& args) {
   DaemonFigures f;
   f.waveform_p50_ms = median(w.waveform_ms);
   f.waveform_p99_ms = tail_quantile(w.waveform_ms);
-  f.jobs_per_s = jobs_done / w.job_elapsed_s;
+  f.jobs_per_s = job_run_s > 0.0 ? 1.0 / job_run_s : 0.0;
   f.job_p50_s = median(w.job_done_s);
   f.request_p50_ms = median(w.request_ms);
   f.request_p99_ms = tail_quantile(w.request_ms);
@@ -635,7 +732,7 @@ Outcome run_daemon_mix(const Args& args) {
   f.result_ms = median(w.result_ms);
   f.submit_cached_ms = median(w.submit_cached_ms);
   f.job_queue_s = median(w.job_queue_s);
-  f.job_run_s = median(w.job_run_s);
+  f.job_run_s = job_run_s;
   f.waveform_core_share = w.stream_local_s / w.stream_request_s;
   const double hits = delta("cache_hits");
   f.cache_hit_ratio = hits / std::max(1.0, hits + delta("cache_misses"));

@@ -227,16 +227,20 @@ bool probe_deck(const sim::ScenarioDeck& deck, ProbeTotals& acc,
   return same;
 }
 
+double attributed_fraction(const ReplayTotals& totals) {
+  double attributed = 0.0;
+  for (const double s : totals.layer_s) attributed += s;
+  return totals.wall_s > 0.0 ? attributed / totals.wall_s : 0.0;
+}
+
 void put_probe_metrics(const ProbeTotals& acc, std::uint64_t repeats,
                        Outcome& out) {
   const ReplayTotals& rp = acc.replay;
   const double trials = static_cast<double>(std::max<std::uint64_t>(
       rp.trials, 1));
-  double attributed = 0.0;
   for (std::size_t l = 0; l < kLayerCount; ++l) {
     out.put(std::string(kLayerNames[l]) + "_us", rp.layer_s[l] / trials * 1e6,
             "us");
-    attributed += rp.layer_s[l];
   }
   const double workers = static_cast<double>(acc.workers);
   out.put("sim.idle_fraction",
@@ -256,8 +260,7 @@ void put_probe_metrics(const ProbeTotals& acc, std::uint64_t repeats,
   out.put("errors", count(acc.errors), "count");
   out.put("rx.rs_blocks_failed", count(rp.rs_blocks_failed), "count");
   out.put("core.samples", count(rp.samples), "count");
-  out.put("trace.attributed", rp.wall_s > 0.0 ? attributed / rp.wall_s : 0.0,
-          "ratio");
+  out.put("trace.attributed", attributed_fraction(rp), "ratio");
   out.put("trace.overhead",
           acc.wall1_s > 0.0 ? rp.wall_s / acc.wall1_s - 1.0 : 0.0, "ratio");
 }

@@ -81,6 +81,13 @@ struct ProbeTotals {
 bool probe_deck(const ofdm::sim::ScenarioDeck& deck, ProbeTotals& acc,
                 std::string& why);
 
+/// Share of replay wall time covered by layer spans, the rule of
+/// obs::Report::attributed_fraction (`trace.attributed`).
+double attributed_fraction(const ReplayTotals& totals);
+
+/// Lowest `trace.attributed` a traced campaign workload accepts.
+inline constexpr double kMinAttributed = 0.95;
+
 /// Emit the replay, scheduler and trace metrics of `acc`. The exact
 /// counts (trials, bits, errors, rx.rs_blocks_failed, core.samples) are
 /// divided by `repeats`, the number of times the same deck was probed,
