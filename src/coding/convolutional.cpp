@@ -1,6 +1,7 @@
 #include "coding/convolutional.hpp"
 
 #include <bit>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -32,17 +33,23 @@ PuncturePattern puncture_3_4() {
   return PuncturePattern{{{1, 0, 1}, {1, 1, 0}}};
 }
 
-ConvEncoder::ConvEncoder(ConvCode code) : code_(std::move(code)) {
-  OFDM_REQUIRE(code_.constraint_length >= 2 && code_.constraint_length <= 16,
-               "ConvEncoder: constraint length must be in 2..16");
-  OFDM_REQUIRE(!code_.generators.empty(),
-               "ConvEncoder: need at least one generator");
-  const std::uint32_t mask =
-      (std::uint32_t{1} << code_.constraint_length) - 1;
-  for (std::uint32_t g : code_.generators) {
-    OFDM_REQUIRE((g & ~mask) == 0,
-                 "ConvEncoder: generator exceeds constraint length");
+void validate(const ConvCode& code) {
+  const unsigned k = code.constraint_length;
+  OFDM_REQUIRE(k >= 2 && k <= 9,
+               "ConvCode: fec.conv.k must be in 2..9, got " +
+                   std::to_string(k));
+  OFDM_REQUIRE(!code.generators.empty() && code.generators.size() <= 4,
+               "ConvCode: fec.conv.generators needs 1..4 generators, got " +
+                   std::to_string(code.generators.size()));
+  for (std::uint32_t g : code.generators) {
+    OFDM_REQUIRE(g != 0 && (g >> k) == 0,
+                 "ConvCode: fec.conv.generators entry " + std::to_string(g) +
+                     " must be non-zero and below 2^K");
   }
+}
+
+ConvEncoder::ConvEncoder(ConvCode code) : code_(std::move(code)) {
+  validate(code_);
 }
 
 bitvec ConvEncoder::encode(std::span<const std::uint8_t> bits) const {

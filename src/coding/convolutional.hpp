@@ -29,6 +29,10 @@ struct ConvCode {
   }
 };
 
+/// Throw ConfigError unless 2 <= K <= 9 (at most 256 trellis states),
+/// there are 1..4 generators, and each is non-zero and below 2^K.
+void validate(const ConvCode& code);
+
 /// The 802.11a / DVB-T / DAB mother code: K=7, g = (133, 171) octal.
 ConvCode k7_industry_code();
 

@@ -1,174 +1,141 @@
 #include "coding/viterbi.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "common/error.hpp"
+#include "dsp/simd/dispatch.hpp"
 
 namespace ofdm::coding {
+namespace {
+
+// Unreachable states start here. Every real path metric is strictly
+// smaller, so an unreachable predecessor never wins a compare.
+constexpr double kUnreached = 1e300;
+// Branch metrics are tabulated this many steps at a time.
+constexpr std::size_t kChunk = 64;
+// 2^n_out entries per step; validate() caps n_out at 4.
+constexpr std::size_t kMaxBm = 16;
+
+}  // namespace
 
 ViterbiDecoder::ViterbiDecoder(ConvCode code) : code_(std::move(code)) {
+  validate(code_);
   const std::size_t states = code_.num_states();
-  const unsigned kk = code_.constraint_length;
-  next_state_.resize(states * 2);
-  out_bits_.resize(states * 2);
-  for (std::size_t s = 0; s < states; ++s) {
-    for (std::uint32_t b = 0; b < 2; ++b) {
-      const std::uint32_t window =
-          (b << (kk - 1)) | static_cast<std::uint32_t>(s);
-      next_state_[s * 2 + b] = window >> 1;
+  branch_.resize(2 * states);
+  for (std::uint32_t ns = 0; ns < states; ++ns) {
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      // The branch from s0 + p into ns sees the shift-register window
+      // (ns << 1) | p: the input bit on top, the old state s0 + p below.
+      const std::uint32_t window = (ns << 1) | p;
       std::uint32_t packed = 0;
       for (std::size_t j = 0; j < code_.generators.size(); ++j) {
         packed |= static_cast<std::uint32_t>(
                       std::popcount(window & code_.generators[j]) & 1)
                   << j;
       }
-      out_bits_[s * 2 + b] = packed;
+      branch_[p * states + ns] = packed;
     }
   }
+}
+
+bitvec ViterbiDecoder::strip_tail(bitvec full) const {
+  const unsigned tail = code_.constraint_length - 1;
+  OFDM_REQUIRE_DIM(full.size() >= tail,
+                   "Viterbi: terminated code word shorter than tail");
+  full.resize(full.size() - tail);
+  return full;
 }
 
 bitvec ViterbiDecoder::decode_terminated(
     std::span<const std::uint8_t> coded) const {
-  bitvec full = run(coded, /*terminated=*/true);
-  const unsigned tail = code_.constraint_length - 1;
-  OFDM_REQUIRE_DIM(full.size() >= tail,
-                   "decode_terminated: code word shorter than tail");
-  full.resize(full.size() - tail);
-  return full;
+  return strip_tail(run_hard(coded, /*terminated=*/true));
 }
 
 bitvec ViterbiDecoder::decode(std::span<const std::uint8_t> coded) const {
-  return run(coded, /*terminated=*/false);
+  return run_hard(coded, /*terminated=*/false);
+}
+
+template <typename FillBm>
+bitvec ViterbiDecoder::run(std::size_t steps, bool terminated,
+                           const FillBm& fill) const {
+  const std::size_t states = code_.num_states();
+  const std::size_t half = states / 2;
+  const std::size_t n_bm = std::size_t{1} << code_.num_outputs();
+  const std::size_t words = (states + 63) / 64;
+
+  std::vector<double> metric(states, kUnreached);
+  metric[0] = 0.0;  // encoders start from the zero state
+  std::vector<std::uint64_t> dec(steps * words);
+  double bm[kChunk * kMaxBm];
+  const simd::Kernels& kernels = simd::kernels();
+  for (std::size_t t0 = 0; t0 < steps; t0 += kChunk) {
+    const std::size_t n = std::min(kChunk, steps - t0);
+    for (std::size_t t = 0; t < n; ++t) fill(t0 + t, bm + t * n_bm);
+    kernels.viterbi_acs(metric.data(), states, branch_.data(), bm, n_bm, n,
+                        dec.data() + t0 * words);
+  }
+
+  std::size_t s = 0;
+  if (!terminated) {
+    for (std::size_t i = 1; i < states; ++i) {
+      if (metric[i] < metric[s]) s = i;
+    }
+  }
+
+  // State s after step t was entered with input bit s >> (K-2), from
+  // predecessor 2*(s mod half) plus its decision bit.
+  const unsigned top = code_.constraint_length - 2;
+  bitvec decoded(steps);
+  for (std::size_t t = steps; t-- > 0;) {
+    decoded[t] = static_cast<std::uint8_t>(s >> top);
+    const std::uint64_t bit = (dec[t * words + s / 64] >> (s % 64)) & 1u;
+    s = 2 * (s % half) + bit;
+  }
+  return decoded;
+}
+
+bitvec ViterbiDecoder::run_hard(std::span<const std::uint8_t> coded,
+                                bool terminated) const {
+  const unsigned n_out = code_.num_outputs();
+  OFDM_REQUIRE_DIM(coded.size() % n_out == 0,
+                   "Viterbi: coded length not a multiple of output count");
+  const std::size_t n_bm = std::size_t{1} << n_out;
+  // Hamming distance from the received bits to each expected output.
+  return run(coded.size() / n_out, terminated,
+             [&](std::size_t t, double* bm) {
+               const std::uint8_t* r = coded.data() + t * n_out;
+               for (std::size_t e = 0; e < n_bm; ++e) {
+                 double d = 0.0;
+                 for (unsigned j = 0; j < n_out; ++j) {
+                   if (r[j] != kErasure && ((e >> j) & 1u) != (r[j] & 1u)) {
+                     d += 1.0;
+                   }
+                 }
+                 bm[e] = d;
+               }
+             });
 }
 
 bitvec ViterbiDecoder::decode_soft_terminated(
     std::span<const double> llr) const {
-  bitvec full = run_soft(llr, /*terminated=*/true);
-  const unsigned tail = code_.constraint_length - 1;
-  OFDM_REQUIRE_DIM(full.size() >= tail,
-                   "decode_soft_terminated: code word shorter than tail");
-  full.resize(full.size() - tail);
-  return full;
-}
-
-bitvec ViterbiDecoder::run_soft(std::span<const double> llr,
-                                bool terminated) const {
   const unsigned n_out = code_.num_outputs();
   OFDM_REQUIRE_DIM(llr.size() % n_out == 0,
                    "Viterbi: LLR length not a multiple of output count");
-  const std::size_t steps = llr.size() / n_out;
-  const std::size_t states = code_.num_states();
-  constexpr double kInf = 1e300;
-
-  std::vector<double> metric(states, kInf);
-  std::vector<double> next_metric(states, kInf);
-  metric[0] = 0.0;
-
-  std::vector<std::uint8_t> survivor_bit(steps * states);
-  std::vector<std::uint32_t> survivor_prev(steps * states);
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    for (std::size_t s = 0; s < states; ++s) {
-      if (metric[s] >= kInf) continue;
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const std::uint32_t ns = next_state_[s * 2 + b];
-        const std::uint32_t expected = out_bits_[s * 2 + b];
-        // Correlation metric: expected bit 1 pays +llr, bit 0 pays
-        // -llr; minimizing the sum is maximum-likelihood for
-        // llr = log P(0)/P(1).
-        double bm = 0.0;
-        for (unsigned j = 0; j < n_out; ++j) {
-          const double l = llr[t * n_out + j];
-          bm += ((expected >> j) & 1u) ? l : -l;
-        }
-        const double cand = metric[s] + bm;
-        if (cand < next_metric[ns]) {
-          next_metric[ns] = cand;
-          survivor_bit[t * states + ns] = static_cast<std::uint8_t>(b);
-          survivor_prev[t * states + ns] = static_cast<std::uint32_t>(s);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  std::size_t best = 0;
-  if (!terminated) {
-    for (std::size_t s = 1; s < states; ++s) {
-      if (metric[s] < metric[best]) best = s;
-    }
-  }
-
-  bitvec decoded(steps);
-  std::size_t s = best;
-  for (std::size_t t = steps; t-- > 0;) {
-    decoded[t] = survivor_bit[t * states + s];
-    s = survivor_prev[t * states + s];
-  }
-  return decoded;
-}
-
-bitvec ViterbiDecoder::run(std::span<const std::uint8_t> coded,
-                           bool terminated) const {
-  const unsigned n_out = code_.num_outputs();
-  OFDM_REQUIRE_DIM(coded.size() % n_out == 0,
-                   "Viterbi: coded length not a multiple of output count");
-  const std::size_t steps = coded.size() / n_out;
-  const std::size_t states = code_.num_states();
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max() / 2;
-
-  std::vector<std::uint32_t> metric(states, kInf);
-  std::vector<std::uint32_t> next_metric(states, kInf);
-  metric[0] = 0;  // encoders start from the zero state
-
-  // survivors[t*states + s] = input bit of the winning branch into s at t.
-  std::vector<std::uint8_t> survivor_bit(steps * states);
-  std::vector<std::uint32_t> survivor_prev(steps * states);
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    for (std::size_t s = 0; s < states; ++s) {
-      if (metric[s] >= kInf) continue;
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const std::uint32_t ns = next_state_[s * 2 + b];
-        const std::uint32_t expected = out_bits_[s * 2 + b];
-        std::uint32_t bm = 0;
-        for (unsigned j = 0; j < n_out; ++j) {
-          const std::uint8_t r = coded[t * n_out + j];
-          if (r == kErasure) continue;
-          bm += ((expected >> j) & 1u) != (r & 1u);
-        }
-        const std::uint32_t cand = metric[s] + bm;
-        if (cand < next_metric[ns]) {
-          next_metric[ns] = cand;
-          survivor_bit[t * states + ns] = static_cast<std::uint8_t>(b);
-          survivor_prev[t * states + ns] = static_cast<std::uint32_t>(s);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  // Pick the end state.
-  std::size_t best = 0;
-  if (terminated) {
-    best = 0;
-  } else {
-    for (std::size_t s = 1; s < states; ++s) {
-      if (metric[s] < metric[best]) best = s;
-    }
-  }
-
-  // Traceback.
-  bitvec decoded(steps);
-  std::size_t s = best;
-  for (std::size_t t = steps; t-- > 0;) {
-    decoded[t] = survivor_bit[t * states + s];
-    s = survivor_prev[t * states + s];
-  }
-  return decoded;
+  const std::size_t n_bm = std::size_t{1} << n_out;
+  // Correlation metric: expected bit 1 pays +llr, bit 0 pays -llr;
+  // minimizing the sum is maximum-likelihood for llr = log P(0)/P(1).
+  return strip_tail(run(llr.size() / n_out, /*terminated=*/true,
+                        [&](std::size_t t, double* bm) {
+                          const double* l = llr.data() + t * n_out;
+                          for (std::size_t e = 0; e < n_bm; ++e) {
+                            double c = 0.0;
+                            for (unsigned j = 0; j < n_out; ++j) {
+                              c += ((e >> j) & 1u) ? l[j] : -l[j];
+                            }
+                            bm[e] = c;
+                          }
+                        }));
 }
 
 }  // namespace ofdm::coding

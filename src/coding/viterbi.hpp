@@ -1,5 +1,5 @@
-// Hard-decision Viterbi decoder for the convolutional codes in
-// coding/convolutional.hpp. Used by the reference receivers to close the
+// Viterbi decoder for the convolutional codes in coding/convolutional.hpp,
+// hard- and soft-decision. Used by the mother receiver to close the
 // TX->RX loop and by the BER experiments.
 #pragma once
 
@@ -10,12 +10,21 @@
 
 namespace ofdm::coding {
 
-/// Maximum-likelihood sequence decoder (hard decisions, Hamming metric).
+/// Maximum-likelihood sequence decoder with two branch metrics:
+///  - hard: Hamming distance to bits 0/1; kErasure marks (from
+///    depuncture()) contribute nothing;
+///  - soft: correlation with LLRs; LLR 0 (from depuncture_soft()) is an
+///    erasure.
 ///
-/// Input symbols may be 0, 1 or kErasure (from depuncture()); erasures
-/// contribute nothing to any branch metric.
+/// Both run the same add-compare-select loop in butterfly order (the
+/// simd::Kernels::viterbi_acs kernel) on double path metrics; a Hamming
+/// metric is a small exact integer there, so hard decisions and ties are
+/// those of an integer decoder. Survivors are one decision bit per state
+/// per step (ceil(states/64) 64-bit words: 8 bytes at K=7); the traceback
+/// rebuilds each predecessor from the state and its bit.
 class ViterbiDecoder {
  public:
+  /// Throws ConfigError unless the code passes coding::validate().
   explicit ViterbiDecoder(ConvCode code);
 
   /// Decode a terminated code word (encoder used encode_terminated()):
@@ -34,13 +43,19 @@ class ViterbiDecoder {
   const ConvCode& code() const { return code_; }
 
  private:
-  bitvec run(std::span<const std::uint8_t> coded, bool terminated) const;
-  bitvec run_soft(std::span<const double> llr, bool terminated) const;
+  bitvec run_hard(std::span<const std::uint8_t> coded,
+                  bool terminated) const;
+  /// The shared forward pass and traceback; fill(t, bm) writes the
+  /// 2^n_out branch metrics of step t, indexed by expected output bits.
+  template <typename FillBm>
+  bitvec run(std::size_t steps, bool terminated, const FillBm& fill) const;
+  bitvec strip_tail(bitvec full) const;
 
   ConvCode code_;
-  // Precomputed per (state, input): next state and expected output bits.
-  std::vector<std::uint32_t> next_state_;   // [state*2 + input]
-  std::vector<std::uint32_t> out_bits_;     // packed expected outputs
+  // Expected output bits (packed, generator j at bit j) of the branch
+  // into next state ns from s0 = 2*(ns mod states/2) at [ns] and from
+  // s1 = s0 + 1 at [states + ns].
+  std::vector<std::uint32_t> branch_;
 };
 
 }  // namespace ofdm::coding

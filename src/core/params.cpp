@@ -92,6 +92,7 @@ void validate(const OfdmParams& p) {
                  "OfdmParams: Reed-Solomon needs k < n <= 255");
   }
   if (p.fec.conv_enabled) {
+    coding::validate(p.fec.conv);
     OFDM_REQUIRE(!p.fec.puncture.keep.empty() &&
                      p.fec.puncture.keep.size() ==
                          p.fec.conv.generators.size(),

@@ -1,5 +1,7 @@
 #include "core/params_io.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -201,13 +203,19 @@ std::string encode_generators(const std::vector<std::uint32_t>& gens) {
   return os.str();
 }
 
+/// Saturate instead of wrapping, so validate() sees an out-of-range value
+/// rather than its low 32 bits.
+std::uint32_t saturate_u32(std::uint64_t v) {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(v, std::numeric_limits<std::uint32_t>::max()));
+}
+
 std::vector<std::uint32_t> decode_generators(const std::string& text) {
   std::vector<std::uint32_t> gens;
   std::istringstream is(text);
   std::string item;
   while (std::getline(is, item, ',')) {
-    gens.push_back(static_cast<std::uint32_t>(
-        parse_u64("fec.conv.generators", item)));
+    gens.push_back(saturate_u32(parse_u64("fec.conv.generators", item)));
   }
   return gens;
 }
@@ -327,8 +335,7 @@ OfdmParams from_text(const std::string& text) {
   p.fec.rs_n = take_u64("fec.rs_n");
   p.fec.rs_k = take_u64("fec.rs_k");
   p.fec.conv_enabled = take_u64("fec.conv_enabled") != 0;
-  p.fec.conv.constraint_length =
-      static_cast<unsigned>(take_u64("fec.conv.k"));
+  p.fec.conv.constraint_length = saturate_u32(take_u64("fec.conv.k"));
   p.fec.conv.generators = decode_generators(take("fec.conv.generators"));
   p.fec.puncture = decode_puncture(take("fec.puncture"));
   p.interleaver.kind =

@@ -128,6 +128,24 @@ struct Kernels {
                      const cplx* points, std::size_t n_points,
                      std::size_t n_bits, const double* noise_var,
                      std::size_t nv_stride, double* out);
+
+  /// Viterbi forward pass: `steps` add-compare-select steps in butterfly
+  /// order over a trellis of `states` = 2^(K-1) states, 2 <= states <=
+  /// 256. Next state ns has predecessors s0 = 2*(ns mod states/2) and
+  /// s1 = s0 + 1; at step t, with b = bm + t * n_bm,
+  ///   c0 = metric[s0] + b[branch[ns]];
+  ///   c1 = metric[s1] + b[branch[states + ns]];
+  ///   metric'[ns] = c1 < c0 ? c1 : c0;
+  /// and bit ns % 64 of dec[t * words + ns / 64], words =
+  /// ceil(states / 64), records (c1 < c0). Every decision word is
+  /// written whole (unused high bits 0). `metric` carries the metrics in
+  /// and holds those after the last step on return. Tiers vectorize
+  /// across next states only: each lane does the scalar add, add,
+  /// strict compare and select.
+  void (*viterbi_acs)(double* metric, std::size_t states,
+                      const std::uint32_t* branch, const double* bm,
+                      std::size_t n_bm, std::size_t steps,
+                      std::uint64_t* dec);
 };
 
 /// The scalar reference table (always available, every platform).

@@ -241,6 +241,28 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
   }
 }
 
+void viterbi_acs(double* metric, std::size_t states,
+                 const std::uint32_t* branch, const double* bm,
+                 std::size_t n_bm, std::size_t steps, std::uint64_t* dec) {
+  const std::size_t half = states / 2;
+  const std::size_t words = (states + 63) / 64;
+  double next[256];
+  for (std::size_t t = 0; t < steps; ++t) {
+    const double* b = bm + t * n_bm;
+    std::uint64_t* d = dec + t * words;
+    for (std::size_t w = 0; w < words; ++w) d[w] = 0;
+    for (std::size_t ns = 0; ns < states; ++ns) {
+      const std::size_t s0 = 2 * (ns % half);
+      const double c0 = metric[s0] + b[branch[ns]];
+      const double c1 = metric[s0 + 1] + b[branch[states + ns]];
+      const bool s1_wins = c1 < c0;
+      next[ns] = s1_wins ? c1 : c0;
+      d[ns / 64] |= std::uint64_t{s1_wins} << (ns % 64);
+    }
+    for (std::size_t s = 0; s < states; ++s) metric[s] = next[s];
+  }
+}
+
 }  // namespace scalar
 
 const Kernels& scalar_kernels() {
@@ -259,6 +281,7 @@ const Kernels& scalar_kernels() {
       scalar::rvec_add,
       scalar::map_lut,
       scalar::demap_soft,
+      scalar::viterbi_acs,
   };
   return table;
 }

@@ -9,13 +9,17 @@
 //  - the imaginary component sums the same two products in swapped
 //    operand order — FP addition is commutative, so bits match;
 //  - FIR accumulation runs one output per lane in ascending-tap
-//    (scalar delay-line) order; no cross-tap reassociation.
+//    (scalar delay-line) order; no cross-tap reassociation;
+//  - the Viterbi ACS selects with and/andnot/or on the strict-less
+//    mask, a bitwise copy of the scalar ternary.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <emmintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -337,6 +341,65 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
   }
 }
 
+/// Two next states ns, ns+1 of one trellis half: m0/m1 hold the s0/s1
+/// predecessor metrics, i0/i1 their branch-metric indices. Returns the
+/// decision bits, lane k at bit k.
+inline std::uint64_t acs2(__m128d m0, __m128d m1, const double* b,
+                          const std::uint32_t* i0, const std::uint32_t* i1,
+                          double* next) {
+  const __m128d c0 = _mm_add_pd(m0, _mm_set_pd(b[i0[1]], b[i0[0]]));
+  const __m128d c1 = _mm_add_pd(m1, _mm_set_pd(b[i1[1]], b[i1[0]]));
+  const __m128d lt = _mm_cmplt_pd(c1, c0);
+  _mm_storeu_pd(next, _mm_or_pd(_mm_and_pd(lt, c1), _mm_andnot_pd(lt, c0)));
+  return static_cast<std::uint64_t>(_mm_movemask_pd(lt));
+}
+
+void viterbi_acs(double* metric, std::size_t states,
+                 const std::uint32_t* branch, const double* bm,
+                 std::size_t n_bm, std::size_t steps, std::uint64_t* dec) {
+  const std::size_t half = states / 2;
+  if (half < 2) {
+    scalar_kernels().viterbi_acs(metric, states, branch, bm, n_bm, steps,
+                                 dec);
+    return;
+  }
+  const std::size_t words = (states + 63) / 64;
+  const std::uint32_t* br1 = branch + states;
+  double buf[256];
+  double* cur = metric;
+  double* next = buf;
+  for (std::size_t t = 0; t < steps; ++t) {
+    const double* b = bm + t * n_bm;
+    std::uint64_t* d = dec + t * words;
+    for (std::size_t w = 0; w < words; ++w) d[w] = 0;
+    for (std::size_t j0 = 0; j0 < half; j0 += 64) {
+      // Decision bits of ns = j0.. and ns = half + j0.. gather in
+      // registers, one word store each per 64 states.
+      const std::size_t j_end = std::min(half, j0 + 64);
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      for (std::size_t j = j0; j < j_end; j += 2) {
+        // Predecessors 2j..2j+3, deinterleaved into s0 and s1 lanes;
+        // both halves of the butterfly (ns = j, half + j) share them.
+        const __m128d a = _mm_loadu_pd(cur + 2 * j);
+        const __m128d c = _mm_loadu_pd(cur + 2 * j + 2);
+        const __m128d m0 = _mm_unpacklo_pd(a, c);
+        const __m128d m1 = _mm_unpackhi_pd(a, c);
+        lo |= acs2(m0, m1, b, branch + j, br1 + j, next + j) << (j - j0);
+        hi |= acs2(m0, m1, b, branch + half + j, br1 + half + j,
+                   next + half + j)
+              << (j - j0);
+      }
+      d[j0 / 64] |= lo;
+      d[(half + j0) / 64] |= hi << ((half + j0) % 64);
+    }
+    std::swap(cur, next);
+  }
+  if (cur != metric) {
+    for (std::size_t s = 0; s < states; ++s) metric[s] = cur[s];
+  }
+}
+
 }  // namespace sse2
 
 const Kernels& sse2_kernels() {
@@ -355,6 +418,7 @@ const Kernels& sse2_kernels() {
       sse2::rvec_add,
       scalar_kernels().map_lut,
       sse2::demap_soft,
+      sse2::viterbi_acs,
   };
   return table;
 }

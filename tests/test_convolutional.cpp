@@ -2,6 +2,12 @@
 // and Viterbi decoding under clean, erased and corrupted conditions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "coding/convolutional.hpp"
 #include "coding/viterbi.hpp"
 #include "common/bits.hpp"
@@ -203,6 +209,158 @@ TEST(ViterbiSoft, DepunctureSoftInsertsZeroLlrs) {
   EXPECT_EQ(zeros, (msg.size() + 6) * 2 - punct.size());
   EXPECT_EQ(dec.decode_soft_terminated(llr), msg);
 }
+
+}  // namespace
+}  // namespace ofdm::coding
+
+// --- exhaustive maximum-likelihood oracle -----------------------------------
+//
+// For short messages every code word can be enumerated, so the decoder's
+// answer can be checked against the true minimum-metric code word instead
+// of only against the transmitted one.
+
+namespace ofdm::coding {
+namespace {
+
+ConvCode k3_code() {
+  ConvCode code;
+  code.constraint_length = 3;
+  code.generators = {05, 07};
+  return code;
+}
+
+const PuncturePattern& oracle_pattern(int rate) {
+  static const PuncturePattern patterns[] = {puncture_none(), puncture_2_3(),
+                                             puncture_3_4()};
+  return patterns[rate];
+}
+
+/// Every message of `len` bits (index i = message bits LSB-first) and its
+/// mother code word, terminated or not.
+std::vector<std::pair<bitvec, bitvec>> code_book(const ConvCode& code,
+                                                 std::size_t len,
+                                                 bool terminated) {
+  const ConvEncoder enc(code);
+  std::vector<std::pair<bitvec, bitvec>> book;
+  for (std::size_t i = 0; i < (std::size_t{1} << len); ++i) {
+    bitvec msg;
+    for (std::size_t b = 0; b < len; ++b) {
+      msg.push_back(static_cast<std::uint8_t>((i >> b) & 1u));
+    }
+    bitvec cw = terminated ? enc.encode_terminated(msg) : enc.encode(msg);
+    book.emplace_back(std::move(msg), std::move(cw));
+  }
+  return book;
+}
+
+std::size_t hamming(const bitvec& received, const bitvec& cw) {
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < cw.size(); ++i) {
+    d += received[i] != kErasure && received[i] != cw[i];
+  }
+  return d;
+}
+
+/// The soft correlation metric, summed in the decoder's order (per
+/// trellis step, then along the path) so equal paths compare exactly.
+double correlation(const rvec& llr, const bitvec& cw, unsigned n_out) {
+  double metric = 0.0;
+  for (std::size_t t = 0; t < cw.size() / n_out; ++t) {
+    double step = 0.0;
+    for (unsigned j = 0; j < n_out; ++j) {
+      const double l = llr[t * n_out + j];
+      step += cw[t * n_out + j] ? l : -l;
+    }
+    metric += step;
+  }
+  return metric;
+}
+
+class ViterbiOracle
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  ConvCode code() const {
+    return std::get<0>(GetParam()) == 7 ? k7_industry_code() : k3_code();
+  }
+  const PuncturePattern& pattern() const {
+    return oracle_pattern(std::get<1>(GetParam()));
+  }
+};
+
+TEST_P(ViterbiOracle, SoftDecodingReturnsTheMinimumMetricMessage) {
+  const ConvCode c = code();
+  const ViterbiDecoder dec(c);
+  Rng rng(60 + 10 * c.constraint_length + std::get<1>(GetParam()));
+  for (std::size_t len = 1; len <= 10; ++len) {
+    const auto book = code_book(c, len, /*terminated=*/true);
+    const std::size_t mother = book[0].second.size();
+    const std::size_t kept = puncture(book[0].second, pattern()).size();
+    for (int trial = 0; trial < 4; ++trial) {
+      // Continuous random LLRs: no two code words tie.
+      rvec punct(kept);
+      for (double& l : punct) l = rng.uniform(-2.0, 2.0);
+      const rvec llr = depuncture_soft(punct, pattern(), mother);
+      std::size_t best = 0;
+      double best_metric =
+          correlation(llr, book[0].second, c.num_outputs());
+      for (std::size_t i = 1; i < book.size(); ++i) {
+        const double m = correlation(llr, book[i].second, c.num_outputs());
+        if (m < best_metric) {
+          best_metric = m;
+          best = i;
+        }
+      }
+      EXPECT_EQ(dec.decode_soft_terminated(llr), book[best].first)
+          << "K=" << c.constraint_length << " len=" << len
+          << " trial=" << trial;
+    }
+  }
+}
+
+TEST_P(ViterbiOracle, HardDecodingReachesTheMinimumHammingDistance) {
+  const ConvCode c = code();
+  const ConvEncoder enc(c);
+  const ViterbiDecoder dec(c);
+  Rng rng(80 + 10 * c.constraint_length + std::get<1>(GetParam()));
+  for (bool terminated : {true, false}) {
+    for (std::size_t len = 1; len <= 10; ++len) {
+      const auto book = code_book(c, len, terminated);
+      const std::size_t mother = book[0].second.size();
+      const std::size_t kept = puncture(book[0].second, pattern()).size();
+      for (int trial = 0; trial < 4; ++trial) {
+        // Random bits plus random erasures on top of the stolen ones.
+        bitvec received = depuncture(rng.bits(kept), pattern(), mother);
+        for (std::uint8_t& r : received) {
+          if (rng.uniform(0.0, 1.0) < 0.15) r = kErasure;
+        }
+        std::size_t best = hamming(received, book[0].second);
+        for (const auto& entry : book) {
+          best = std::min(best, hamming(received, entry.second));
+        }
+        const bitvec decoded = terminated ? dec.decode_terminated(received)
+                                          : dec.decode(received);
+        ASSERT_EQ(decoded.size(), len);
+        const bitvec cw = terminated ? enc.encode_terminated(decoded)
+                                     : enc.encode(decoded);
+        EXPECT_EQ(hamming(received, cw), best)
+            << "K=" << c.constraint_length << " len=" << len
+            << " terminated=" << terminated << " trial=" << trial;
+      }
+    }
+  }
+}
+
+std::string oracle_name(
+    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+  static const char* const kRates[] = {"r12", "r23", "r34"};
+  return "K" + std::to_string(std::get<0>(info.param)) + "_" +
+         kRates[std::get<1>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodesAndRates, ViterbiOracle,
+    ::testing::Combine(::testing::Values(3, 7), ::testing::Values(0, 1, 2)),
+    oracle_name);
 
 }  // namespace
 }  // namespace ofdm::coding

@@ -140,7 +140,40 @@ INSTANTIATE_TEST_SUITE_P(
                       "cp_len=999999999999999999999999",  // overflow
                       "sample_rate=nan",       // non-finite rate
                       "=42",                   // empty key
-                      "mystery_knob=1"));      // unknown key
+                      "mystery_knob=1",        // unknown key
+                      "fec.conv.k=0",          // num_states() shift by -1
+                      "fec.conv.k=1",          // no trellis memory
+                      "fec.conv.k=10",         // above the 256-state cap
+                      "fec.conv.k=24",         // 2^23 states
+                      "fec.conv.k=4294967303",  // 2^32 + 7: no wrap to 7
+                      "fec.conv.generators=0,0171",     // zero generator
+                      "fec.conv.generators=0133,0200",  // >= 2^K
+                      "fec.conv.generators=4294967387,0171"));  // 2^32+0133
+
+TEST(ParamsIo, ConvCodeBoundsNameTheField) {
+  const std::string deck = to_text(profile_wlan_80211a());
+  auto message = [&](const std::string& extra) {
+    try {
+      from_text(deck + extra);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message("fec.conv.k=0\n").find("fec.conv.k"), std::string::npos);
+  EXPECT_NE(message("fec.conv.generators=0133,0400\n")
+                .find("fec.conv.generators"),
+            std::string::npos);
+  // Five generators with a matching five-row puncture pattern: only the
+  // generator-count bound can reject it.
+  EXPECT_NE(message("fec.conv.generators=0133,0171,0165,0117,0135\n"
+                    "fec.puncture=1/1/1/1/1\n")
+                .find("fec.conv.generators"),
+            std::string::npos);
+  // The bounds themselves are inclusive.
+  EXPECT_EQ(message("fec.conv.k=9\nfec.conv.generators=0561,0753\n"),
+            "accepted");
+}
 
 TEST(ParamsIo, GarbageBytesAreRejected) {
   EXPECT_THROW(from_text("\x01\x02\xff not a deck"), ConfigError);

@@ -7,6 +7,7 @@
 // splits.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -181,6 +182,65 @@ TEST_F(SimdTest, DemapSoftBitIdenticalAtOddSizes) {
                 0)
           << vec.name << " demap_soft bits=" << n_bits << " n=" << n
           << " (per-symbol nv)";
+    }
+  }
+}
+
+TEST_F(SimdTest, ViterbiAcsBitIdenticalAcrossTiers) {
+  const simd::Kernels& ref = simd::scalar_kernels();
+  std::vector<const simd::Kernels*> tiers;
+  for (simd::Tier tier :
+       {simd::Tier::kSse2, simd::Tier::kAvx2, simd::Tier::kNeon}) {
+    if (simd::force_tier(tier) == tier) tiers.push_back(&simd::kernels());
+  }
+  // Inputs per case: 0 = continuous random metrics; 1 = small integers,
+  // so candidate metrics tie; 2 = the decoder's start (state 0 at 0,
+  // every other state unreachable at 1e300) with integer branch metrics.
+  for (unsigned k = 3; k <= 9; ++k) {
+    const std::size_t states = std::size_t{1} << (k - 1);
+    const std::size_t words = (states + 63) / 64;
+    for (std::size_t n_bm : {std::size_t{4}, std::size_t{8}}) {
+      for (std::size_t steps : {1, 2, 3, 7, 17, 65}) {
+        for (int inputs = 0; inputs < 3; ++inputs) {
+          Rng rng(3000 + 100 * k + 10 * steps + inputs + n_bm);
+          std::vector<std::uint32_t> branch(2 * states);
+          for (std::uint32_t& b : branch) {
+            b = static_cast<std::uint32_t>(rng.uniform(0.0, 1.0) * n_bm);
+          }
+          rvec bm(steps * n_bm);
+          for (double& x : bm) {
+            x = inputs == 0 ? rng.uniform(-2.0, 2.0)
+                            : std::floor(rng.uniform(0.0, 3.0));
+          }
+          rvec start(states, 1e300);
+          if (inputs == 2) {
+            start[0] = 0.0;
+          } else {
+            for (double& x : start) {
+              x = inputs == 0 ? rng.uniform(0.0, 8.0)
+                              : std::floor(rng.uniform(0.0, 4.0));
+            }
+          }
+          rvec ref_metric = start;
+          std::vector<std::uint64_t> ref_dec(steps * words, ~0ull);
+          ref.viterbi_acs(ref_metric.data(), states, branch.data(),
+                          bm.data(), n_bm, steps, ref_dec.data());
+          for (const simd::Kernels* vec : tiers) {
+            rvec metric = start;
+            std::vector<std::uint64_t> dec(steps * words, ~0ull);
+            vec->viterbi_acs(metric.data(), states, branch.data(),
+                             bm.data(), n_bm, steps, dec.data());
+            EXPECT_EQ(std::memcmp(metric.data(), ref_metric.data(),
+                                  states * sizeof(double)),
+                      0)
+                << vec->name << " metrics K=" << k << " steps=" << steps
+                << " inputs=" << inputs << " n_bm=" << n_bm;
+            EXPECT_EQ(dec, ref_dec)
+                << vec->name << " decisions K=" << k << " steps=" << steps
+                << " inputs=" << inputs << " n_bm=" << n_bm;
+          }
+        }
+      }
     }
   }
 }
