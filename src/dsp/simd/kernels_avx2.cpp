@@ -10,19 +10,14 @@
 //  - FIR lanes each own one output and accumulate taps in ascending
 //    (scalar delay-line) order — adjacent outputs read adjacent window
 //    samples, so one unaligned load feeds two lanes;
-//  - the Viterbi ACS loads branch metrics lane by lane and selects with
-//    blendv on the strict-less mask: per lane the scalar add, compare,
-//    pick;
 //  - compiled with -ffp-contract=off (unless OFDM_SIMD_ALLOW_FMA) so
 //    the compiler cannot fuse the mul/add pairs behind our back.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -489,69 +484,6 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
   }
 }
 
-/// Four next states ns..ns+3 of one trellis half: m0/m1 hold the s0/s1
-/// predecessor metrics, i0/i1 their branch-metric indices. Returns the
-/// decision bits, lane k at bit k.
-inline std::uint64_t acs4(__m256d m0, __m256d m1, const double* b,
-                          const std::uint32_t* i0, const std::uint32_t* i1,
-                          double* next) {
-  const __m256d b0 = _mm256_set_pd(b[i0[3]], b[i0[2]], b[i0[1]], b[i0[0]]);
-  const __m256d b1 = _mm256_set_pd(b[i1[3]], b[i1[2]], b[i1[1]], b[i1[0]]);
-  const __m256d c0 = _mm256_add_pd(m0, b0);
-  const __m256d c1 = _mm256_add_pd(m1, b1);
-  const __m256d lt = _mm256_cmp_pd(c1, c0, _CMP_LT_OQ);
-  _mm256_storeu_pd(next, _mm256_blendv_pd(c0, c1, lt));
-  return static_cast<std::uint64_t>(_mm256_movemask_pd(lt));
-}
-
-void viterbi_acs(double* metric, std::size_t states,
-                 const std::uint32_t* branch, const double* bm,
-                 std::size_t n_bm, std::size_t steps, std::uint64_t* dec) {
-  const std::size_t half = states / 2;
-  if (half < 4) {
-    scalar_kernels().viterbi_acs(metric, states, branch, bm, n_bm, steps,
-                                 dec);
-    return;
-  }
-  const std::size_t words = (states + 63) / 64;
-  const std::uint32_t* br1 = branch + states;
-  double buf[256];
-  double* cur = metric;
-  double* next = buf;
-  for (std::size_t t = 0; t < steps; ++t) {
-    const double* b = bm + t * n_bm;
-    std::uint64_t* d = dec + t * words;
-    for (std::size_t w = 0; w < words; ++w) d[w] = 0;
-    for (std::size_t j0 = 0; j0 < half; j0 += 64) {
-      // Decision bits of ns = j0.. and ns = half + j0.. gather in
-      // registers, one word store each per 64 states.
-      const std::size_t j_end = std::min(half, j0 + 64);
-      std::uint64_t lo = 0;
-      std::uint64_t hi = 0;
-      for (std::size_t j = j0; j < j_end; j += 4) {
-        // Predecessors 2j..2j+7, deinterleaved into s0 and s1 lanes;
-        // both halves of the butterfly (ns = j, half + j) share them.
-        const __m256d a = _mm256_loadu_pd(cur + 2 * j);
-        const __m256d c = _mm256_loadu_pd(cur + 2 * j + 4);
-        const __m256d m0 =
-            _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, c), 0xD8);
-        const __m256d m1 =
-            _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, c), 0xD8);
-        lo |= acs4(m0, m1, b, branch + j, br1 + j, next + j) << (j - j0);
-        hi |= acs4(m0, m1, b, branch + half + j, br1 + half + j,
-                   next + half + j)
-              << (j - j0);
-      }
-      d[j0 / 64] |= lo;
-      d[(half + j0) / 64] |= hi << ((half + j0) % 64);
-    }
-    std::swap(cur, next);
-  }
-  if (cur != metric) {
-    for (std::size_t s = 0; s < states; ++s) metric[s] = cur[s];
-  }
-}
-
 }  // namespace avx2
 
 const Kernels& avx2_kernels() {
@@ -570,7 +502,8 @@ const Kernels& avx2_kernels() {
       avx2::rvec_add,
       scalar_kernels().map_lut,
       avx2::demap_soft,
-      avx2::viterbi_acs,
+      // A 4-lane ACS ran no faster end to end than the 2-lane one.
+      sse2_kernels().viterbi_acs,
   };
   return table;
 }

@@ -7,10 +7,8 @@
 
 #include <arm_neon.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -334,67 +332,6 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
   }
 }
 
-/// Two next states ns, ns+1 of one trellis half: m0/m1 hold the s0/s1
-/// predecessor metrics, i0/i1 their branch-metric indices. Returns the
-/// decision bits, lane k at bit k.
-inline std::uint64_t acs2(float64x2_t m0, float64x2_t m1, const double* b,
-                          const std::uint32_t* i0, const std::uint32_t* i1,
-                          double* next) {
-  const float64x2_t b0 =
-      vcombine_f64(vld1_f64(b + i0[0]), vld1_f64(b + i0[1]));
-  const float64x2_t b1 =
-      vcombine_f64(vld1_f64(b + i1[0]), vld1_f64(b + i1[1]));
-  const float64x2_t c0 = vaddq_f64(m0, b0);
-  const float64x2_t c1 = vaddq_f64(m1, b1);
-  const uint64x2_t lt = vcltq_f64(c1, c0);
-  vst1q_f64(next, vbslq_f64(lt, c1, c0));
-  return (vgetq_lane_u64(lt, 0) & 1u) | ((vgetq_lane_u64(lt, 1) & 1u) << 1);
-}
-
-void viterbi_acs(double* metric, std::size_t states,
-                 const std::uint32_t* branch, const double* bm,
-                 std::size_t n_bm, std::size_t steps, std::uint64_t* dec) {
-  const std::size_t half = states / 2;
-  if (half < 2) {
-    scalar_kernels().viterbi_acs(metric, states, branch, bm, n_bm, steps,
-                                 dec);
-    return;
-  }
-  const std::size_t words = (states + 63) / 64;
-  const std::uint32_t* br1 = branch + states;
-  double buf[256];
-  double* cur = metric;
-  double* next = buf;
-  for (std::size_t t = 0; t < steps; ++t) {
-    const double* b = bm + t * n_bm;
-    std::uint64_t* d = dec + t * words;
-    for (std::size_t w = 0; w < words; ++w) d[w] = 0;
-    for (std::size_t j0 = 0; j0 < half; j0 += 64) {
-      // Decision bits of ns = j0.. and ns = half + j0.. gather in
-      // registers, one word store each per 64 states.
-      const std::size_t j_end = std::min(half, j0 + 64);
-      std::uint64_t lo = 0;
-      std::uint64_t hi = 0;
-      for (std::size_t j = j0; j < j_end; j += 2) {
-        // Predecessors 2j..2j+3, deinterleaved into s0 and s1 lanes;
-        // both halves of the butterfly (ns = j, half + j) share them.
-        const float64x2x2_t m = vld2q_f64(cur + 2 * j);
-        lo |= acs2(m.val[0], m.val[1], b, branch + j, br1 + j, next + j)
-              << (j - j0);
-        hi |= acs2(m.val[0], m.val[1], b, branch + half + j, br1 + half + j,
-                   next + half + j)
-              << (j - j0);
-      }
-      d[j0 / 64] |= lo;
-      d[(half + j0) / 64] |= hi << ((half + j0) % 64);
-    }
-    std::swap(cur, next);
-  }
-  if (cur != metric) {
-    for (std::size_t s = 0; s < states; ++s) metric[s] = cur[s];
-  }
-}
-
 }  // namespace neon
 
 const Kernels& neon_kernels() {
@@ -413,7 +350,7 @@ const Kernels& neon_kernels() {
       neon::rvec_add,
       scalar_kernels().map_lut,
       neon::demap_soft,
-      neon::viterbi_acs,
+      scalar_kernels().viterbi_acs,
   };
   return table;
 }
