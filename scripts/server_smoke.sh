@@ -169,6 +169,18 @@ if ! cmp -s "$WORK/ref.json" "$WORK/cached.json"; then
     exit 1
 fi
 
+echo "== streamed waveform samples match the pinned digest =="
+# float32 (re,im) pairs of 2 drm@B bursts, seed 5: 40960 samples.
+WAVEFORM_SHA256=dd778147906dc5ddd123527d94f76cbd5802bc8d929625079e3f0e8b5e746877
+$TO "$CLIENT" waveform --port "$PORT" --standard drm@B --bursts 2 \
+    --seed 5 --out "$WORK/drm.f32" > /dev/null
+GOT="$(sha256sum "$WORK/drm.f32" | cut -d' ' -f1)"
+if [[ "$GOT" != "$WAVEFORM_SHA256" ]]; then
+    echo "error: streamed drm@B samples hash to $GOT," \
+         "pinned $WAVEFORM_SHA256" >&2
+    exit 1
+fi
+
 echo "== graceful shutdown =="
 $TO "$CLIENT" shutdown --port "$PORT" > /dev/null
 for _ in $(seq 1 100); do
@@ -182,4 +194,4 @@ fi
 DAEMON_PID=""
 
 echo "server smoke OK: crash recovery byte-identical, cache serves" \
-     "resubmissions without recompute"
+     "resubmissions without recompute, streamed samples as pinned"

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -26,12 +27,27 @@ int remaining_ms(Clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
+/// A stream counter of an "iq" event, range-checked like every integer
+/// the server reads (in_range) before the cast.
+std::size_t event_count(const Json& event, const char* key) {
+  const Json* v = event.find(key);
+  if (v == nullptr || !v->is_number() ||
+      !in_range(v->as_number(), 0.0, kMaxExactDouble)) {
+    throw NetError(std::string("iq event: '") + key +
+                   "' missing or out of range");
+  }
+  return static_cast<std::size_t>(v->as_number());
+}
+
 }  // namespace
 
 LineClient::~LineClient() { close(); }
 
 LineClient::LineClient(LineClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      head_(other.head_),
+      scanned_(other.scanned_) {
   other.fd_ = -1;
 }
 
@@ -40,6 +56,8 @@ LineClient& LineClient::operator=(LineClient&& other) noexcept {
     close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
+    head_ = other.head_;
+    scanned_ = other.scanned_;
     other.fd_ = -1;
   }
   return *this;
@@ -82,8 +100,11 @@ void LineClient::connect(const std::string& host, std::uint16_t port,
     }
   }
   ::fcntl(fd, F_SETFL, flags);  // back to blocking
+  // Requests are written whole: send each at once rather than hold a
+  // short segment back for the server's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   fd_ = fd;
-  buffer_.clear();
 }
 
 void LineClient::close() {
@@ -92,6 +113,7 @@ void LineClient::close() {
     fd_ = -1;
   }
   buffer_.clear();
+  head_ = scanned_ = 0;
 }
 
 void LineClient::send(const Json& req) { send_text(req.dump() + "\n"); }
@@ -116,31 +138,41 @@ Json LineClient::recv_line(double timeout_s) {
       Clock::now() + std::chrono::milliseconds(
                          static_cast<long long>(timeout_s * 1000.0));
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    // Only the bytes received since the last scan can hold the newline.
+    const char* base = buffer_.data();
+    const void* nl =
+        std::memchr(base + scanned_, '\n', buffer_.size() - scanned_);
+    if (nl != nullptr) {
+      const char* end = static_cast<const char*>(nl);
+      std::string_view line(base + head_,
+                            static_cast<std::size_t>(end - base) - head_);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      head_ = scanned_ = static_cast<std::size_t>(end - base) + 1;
       return json_parse(line);
     }
+    // Drop the returned lines before the buffer grows again.
+    buffer_.erase(0, head_);
+    scanned_ = buffer_.size();
+    head_ = 0;
+
     const int wait = remaining_ms(deadline);
     if (wait == 0) throw NetError("recv timeout after " +
                                   std::to_string(timeout_s) + "s");
-    pollfd pfd{fd_, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, wait);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw NetError("poll(): " + std::string(std::strerror(errno)));
-    }
-    if (r == 0) continue;  // deadline re-checked above
-    char chunk[16384];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    char chunk[65536];
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
     if (n == 0) throw NetError("server closed the connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
+    if (n > 0) {
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       throw NetError("recv(): " + std::string(std::strerror(errno)));
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, wait) < 0 && errno != EINTR) {
+      throw NetError("poll(): " + std::string(std::strerror(errno)));
+    }
   }
 }
 
@@ -160,8 +192,9 @@ Json LineClient::waveform(const Json& req, cvec& samples, double timeout_s) {
       throw NetError("unexpected event '" + ev->as_string() +
                      "' in waveform stream");
     }
-    const auto burst = static_cast<std::size_t>(line.num_or("burst", 0));
-    const auto seq = static_cast<std::size_t>(line.num_or("seq", 0));
+    const std::size_t burst = event_count(line, "burst");
+    const std::size_t seq = event_count(line, "seq");
+    const std::size_t n = event_count(line, "n");
     if (burst != expect_burst || seq != expect_seq) {
       if (burst == expect_burst + 1 && seq == 0) {
         expect_burst = burst;
@@ -173,11 +206,14 @@ Json LineClient::waveform(const Json& req, cvec& samples, double timeout_s) {
       }
     }
     ++expect_seq;
-    const cvec part = unpack_iq_f32(line.str_or("data", ""));
-    if (part.size() != static_cast<std::size_t>(line.num_or("n", -1.0))) {
+    const Json* data = line.find("data");
+    const std::size_t before = samples.size();
+    unpack_iq_f32(data != nullptr ? data->as_string() : std::string_view(),
+                  samples);
+    if (samples.size() - before != n) {
+      samples.resize(before);
       throw NetError("iq event length mismatch");
     }
-    samples.insert(samples.end(), part.begin(), part.end());
   }
 }
 

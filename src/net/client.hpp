@@ -44,14 +44,17 @@ class LineClient {
   /// send() + recv_line(): the plain request/reply round trip.
   Json request(const Json& req, double timeout_s = 10.0);
 
-  /// Waveform round trip: sends `req`, appends every "iq" event's
-  /// samples to `samples` (validating burst/seq ordering), returns the
-  /// terminal reply ({"ok":true,...} or {"ok":false,...}).
+  /// Waveform round trip: sends `req`, decodes every "iq" event's
+  /// samples onto the end of `samples` (validating burst/seq ordering
+  /// and each event's `n`), returns the terminal reply
+  /// ({"ok":true,...} or {"ok":false,...}).
   Json waveform(const Json& req, cvec& samples, double timeout_s = 30.0);
 
  private:
   int fd_ = -1;
-  std::string buffer_;  ///< bytes received past the last returned line
+  std::string buffer_;       ///< received bytes; [head_, end) not returned
+  std::size_t head_ = 0;     ///< start of the next line in buffer_
+  std::size_t scanned_ = 0;  ///< [head_, scanned_) holds no '\n'
 };
 
 }  // namespace ofdm::net

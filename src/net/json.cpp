@@ -3,12 +3,32 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ofdm::net {
 
 namespace {
 
 constexpr std::size_t kMaxDepth = 64;
+
+/// A byte that ends a plain run inside a string: an escape or a
+/// control byte (0 or 1, so the flags of a run combine with `|`).
+unsigned special(char ch) {
+  const unsigned char c = static_cast<unsigned char>(ch);
+  return static_cast<unsigned>(c == '\\') | static_cast<unsigned>(c < 0x20);
+}
+
+/// Length of the prefix of s[0, n) free of escapes and control bytes.
+/// The branch-free pass first: the compiler vectorizes it, and a base64
+/// payload is one long plain run.
+std::size_t plain_prefix(const char* s, std::size_t n) {
+  unsigned any = 0;
+  for (std::size_t i = 0; i < n; ++i) any |= special(s[i]);
+  if (any == 0) return n;
+  std::size_t i = 0;
+  while (special(s[i]) == 0) ++i;
+  return i;
+}
 
 struct Parser {
   std::string_view text;
@@ -184,44 +204,48 @@ struct Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, escape or
+      // control byte with one append.
+      const char* const run = text.data() + pos;
+      const void* quote = std::memchr(run, '"', text.size() - pos);
+      const std::size_t n = plain_prefix(
+          run, quote != nullptr ? static_cast<const char*>(quote) - run
+                                : text.size() - pos);
+      out.append(run, n);
+      pos += n;
       if (eof()) fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text[pos++]);
       if (c == '"') return out;
-      if (c == '\\') {
-        if (eof()) fail("truncated escape");
-        const char e = text[pos++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned cp = hex4();
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // high surrogate: require a paired \uDC00-\uDFFF
-              if (!consume('\\') || !consume('u')) {
-                fail("unpaired surrogate");
-              }
-              const unsigned lo = hex4();
-              if (lo < 0xDC00 || lo > 0xDFFF) fail("unpaired surrogate");
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      if (c < 0x20) fail("raw control character in string");
+      if (eof()) fail("truncated escape");
+      const char e = text[pos++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          unsigned cp = hex4();
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // high surrogate: require a paired \uDC00-\uDFFF
+            if (!consume('\\') || !consume('u')) {
               fail("unpaired surrogate");
             }
-            append_utf8(out, cp);
-            break;
+            const unsigned lo = hex4();
+            if (lo < 0xDC00 || lo > 0xDFFF) fail("unpaired surrogate");
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+            fail("unpaired surrogate");
           }
-          default:
-            fail("bad escape");
+          append_utf8(out, cp);
+          break;
         }
-      } else if (c < 0x20) {
-        fail("raw control character in string");
-      } else {
-        out.push_back(static_cast<char>(c));
+        default:
+          fail("bad escape");
       }
     }
   }
@@ -265,11 +289,16 @@ Json& Json::push_back(Json value) {
   return *this;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
+namespace {
+
+/// Append `s` JSON-escaped, copying runs of plain bytes in bulk.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending plain run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -278,20 +307,15 @@ std::string json_escape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
-
-namespace {
 
 void dump_value(const Json& j, std::string& out) {
   if (j.is_null()) {
@@ -309,7 +333,7 @@ void dump_value(const Json& j, std::string& out) {
     out += buf;
   } else if (j.is_string()) {
     out.push_back('"');
-    out += json_escape(j.as_string());
+    append_escaped(out, j.as_string());
     out.push_back('"');
   } else if (j.is_array()) {
     out.push_back('[');
@@ -327,7 +351,7 @@ void dump_value(const Json& j, std::string& out) {
       if (!first) out.push_back(',');
       first = false;
       out.push_back('"');
-      out += json_escape(k);
+      append_escaped(out, k);
       out += "\":";
       dump_value(v, out);
     }

@@ -101,7 +101,4 @@ class Json {
 /// syntax error, on nesting deeper than 64, and on trailing input.
 Json json_parse(std::string_view text);
 
-/// JSON string escaping (without the surrounding quotes).
-std::string json_escape(std::string_view s);
-
 }  // namespace ofdm::net

@@ -5,7 +5,8 @@
 //   client -> server   { "op": <string>, ...op fields }
 //   server -> client   { "ok": true, ...result fields }
 //                    | { "ok": false, "error": <code>, "detail": ... }
-//                    | { "ev": "iq"|"end", ... }   (waveform stream)
+//                    | { "ev": "iq", ... }   (waveform stream)
+//                    | { "ev": "bye", ... }  (before an idle disconnect)
 //
 // Every reply carries "op" echoed back, plus "id" when the request had
 // one (client-side correlation). Error codes are machine-readable
@@ -13,8 +14,12 @@
 //
 // Bulk IQ is framed as events: interleaved little-endian float32
 // (re,im) pairs, base64-encoded, `chunk` samples per "iq" line — large
-// enough to amortize the base64, small enough that a slow client never
-// pins megabytes in one write.
+// enough to amortize the per-line parse, small enough to keep the
+// client's line buffer to tens of kilobytes. The server writes
+// each "iq" line straight into a reused buffer (append_iq_event, no
+// Json object on this path) and sends one burst's lines with one
+// write; the terminal reply rides with the last burst. The bytes are
+// exactly those of Json{ev,burst,seq,n,data}.dump() + "\n".
 #pragma once
 
 #include <cstdint>
@@ -48,11 +53,27 @@ inline constexpr const char* kErrInternal = "internal";
 std::string base64_encode(std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> base64_decode(std::string_view text);
 
-/// Pack complex samples as interleaved little-endian float32 base64.
-std::string pack_iq_f32(std::span<const cplx> samples);
-/// Unpack; throws NetError when the payload is not a whole number of
+/// Append `samples` as base64 of interleaved little-endian float32
+/// (re,im) pairs.
+void pack_iq_f32(std::string& out, std::span<const cplx> samples);
+/// Decode such a payload and append its samples to `out`; throws
+/// NetError on bad base64 or when the payload is not a whole number of
 /// (re,im) float32 pairs.
-cvec unpack_iq_f32(std::string_view base64);
+void unpack_iq_f32(std::string_view base64, cvec& out);
+
+/// Append one `{"ev":"iq","burst":..,"seq":..,"n":..,"data":".."}\n`
+/// event line, `n` being samples.size().
+void append_iq_event(std::string& out, std::size_t burst, std::size_t seq,
+                     std::span<const cplx> samples);
+
+/// Finite and inside [lo, hi]: the only doubles safe to static_cast to
+/// an unsigned integer of the matching range. NaN fails too; every
+/// comparison with NaN is false, so a naive `v < lo || v > hi` lets it
+/// through into undefined behaviour. Every integer read off the wire is
+/// checked with this before its cast, on both ends.
+bool in_range(double v, double lo, double hi);
+/// Largest double whose static_cast to uint64_t/size_t is exact.
+inline constexpr double kMaxExactDouble = 9007199254740992.0;  // 2^53
 
 /// Reply skeletons. Field order is fixed so replies are byte-stable.
 Json ok_reply(const std::string& op);

@@ -8,9 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -37,16 +37,6 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Finite and inside [lo, hi] — the only doubles safe to static_cast
-/// to an unsigned integer of the matching range (NaN fails too: every
-/// comparison with NaN is false, so naive `v < lo || v > hi` lets it
-/// through into undefined-behavior territory).
-bool in_range(double v, double lo, double hi) {
-  return std::isfinite(v) && v >= lo && v <= hi;
-}
-
-/// Largest double whose static_cast to uint64_t/size_t is exact.
-constexpr double kMaxExactDouble = 9007199254740992.0;  // 2^53
 /// Deadline cap: generous for any real campaign, but small enough that
 /// the duration_cast to steady_clock ticks cannot overflow.
 constexpr double kMaxDeadlineS = 1e8;  // ~3 years
@@ -134,6 +124,11 @@ void Server::accept_loop() {
     // Non-blocking from the first byte: send_raw() must be able to
     // poll for writability and honor stopping_ / send_timeout_s.
     set_nonblocking(fd);
+    // Every reply is written whole, so nothing is gained by holding a
+    // short last segment back until the peer's delayed ACK (40 ms on
+    // Linux) arrives.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
     if (stats_.connections_active.load(std::memory_order_relaxed) >=
         cfg_.max_connections) {
@@ -345,6 +340,9 @@ bool Server::handle_waveform(int fd, const Json& req) {
   const std::size_t pb =
       payload_bits != 0 ? payload_bits : tx.recommended_payload_bits();
 
+  // One burst's event lines go out with one send_raw; the terminal
+  // reply rides with the last burst.
+  std::string wire;
   std::size_t total = 0;
   for (std::size_t b = 0; b < bursts; ++b) {
     Rng rng = Rng::substream(seed, /*point=*/0, /*trial=*/b);
@@ -367,15 +365,13 @@ bool Server::handle_waveform(int fd, const Json& req) {
     std::size_t seq = 0;
     for (std::size_t off = 0; off < burst.samples.size(); off += chunk) {
       const std::size_t n = std::min(chunk, burst.samples.size() - off);
-      Json ev = Json::object();
-      ev.set("ev", "iq")
-          .set("burst", b)
-          .set("seq", seq++)
-          .set("n", n)
-          .set("data", pack_iq_f32({burst.samples.data() + off, n}));
-      if (!send_line(fd, ev)) return false;  // peer gone or stalled
+      append_iq_event(wire, b, seq++, {burst.samples.data() + off, n});
     }
     total += burst.samples.size();
+    if (b + 1 < bursts) {
+      if (!send_raw(fd, wire)) return false;  // peer gone or stalled
+      wire.clear();
+    }
   }
   stats_.bump(stats_.waveform_samples, total);
 
@@ -384,7 +380,9 @@ bool Server::handle_waveform(int fd, const Json& req) {
       .set("samples", total)
       .set("payload_bits", pb)
       .set("seed", seed);
-  return send_line(fd, done);
+  wire += done.dump();
+  wire += '\n';
+  return send_raw(fd, wire);
 }
 
 Json Server::handle_submit(std::uint64_t client, const Json& req) {

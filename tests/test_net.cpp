@@ -5,10 +5,16 @@
 // story hangs on. Runs under TSan and ASan in CI.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -81,13 +87,28 @@ TEST(Json, DepthCapHolds) {
 // -------------------------------------------------------------- base64
 
 TEST(Base64, RoundTripAndRejection) {
+  // RFC 4648 section 10 test vectors pin the alphabet and the padding.
+  const std::pair<const char*, const char*> vectors[] = {
+      {"", ""},         {"f", "Zg=="},        {"fo", "Zm8="},
+      {"foo", "Zm9v"},  {"foob", "Zm9vYg=="}, {"fooba", "Zm9vYmE="},
+      {"foobar", "Zm9vYmFy"},
+  };
+  for (const auto& [plain, coded] : vectors) {
+    const bytevec bytes(plain, plain + std::strlen(plain));
+    EXPECT_EQ(base64_encode(bytes), coded) << plain;
+    EXPECT_EQ(base64_decode(coded), bytes) << coded;
+  }
   Rng rng(42);
   for (const std::size_t n : {0, 1, 2, 3, 4, 31, 257}) {
     const bytevec data = rng.bytes(n);
     const std::string b64 = base64_encode(data);
     EXPECT_EQ(base64_decode(b64), data) << n;
   }
-  for (const char* bad : {"A", "AB=", "A===", "AB*D", "====", "AA=A"}) {
+  for (const char* bad :
+       {"A", "AB=", "A===", "AB*D", "====", "AA=A",
+        "AAAAAA*AAAAA",    // invalid byte in a middle group
+        "AA==AAAA",        // '=' in a non-final group
+        "AAAA\xc3\xa9" "AAAAAA"}) {  // high-bit bytes
     EXPECT_THROW((void)base64_decode(bad), NetError) << bad;
   }
 }
@@ -96,13 +117,49 @@ TEST(Base64, IqPackRoundTrip) {
   cvec samples;
   Rng rng(7);
   for (int i = 0; i < 300; ++i) samples.push_back(rng.complex_gaussian());
-  const cvec back = unpack_iq_f32(pack_iq_f32(samples));
-  ASSERT_EQ(back.size(), samples.size());
+  std::string b64 = "prefix";
+  pack_iq_f32(b64, samples);
+  ASSERT_EQ(b64.substr(0, 6), "prefix");
+  cvec back(1, cplx{5.0, -5.0});  // unpack appends
+  unpack_iq_f32(std::string_view(b64).substr(6), back);
+  ASSERT_EQ(back.size(), samples.size() + 1);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_NEAR(back[i].real(), samples[i].real(), 1e-6);
-    EXPECT_NEAR(back[i].imag(), samples[i].imag(), 1e-6);
+    EXPECT_NEAR(back[i + 1].real(), samples[i].real(), 1e-6);
+    EXPECT_NEAR(back[i + 1].imag(), samples[i].imag(), 1e-6);
   }
-  EXPECT_THROW((void)unpack_iq_f32(base64_encode(bytevec(7))), NetError);
+  // A refused payload appends nothing: a bad length, then a bad byte
+  // beyond the first decoded block.
+  EXPECT_THROW(unpack_iq_f32(base64_encode(bytevec(7)), back), NetError);
+  std::string corrupt = b64.substr(6);
+  corrupt[3000] = '*';
+  EXPECT_THROW(unpack_iq_f32(corrupt, back), NetError);
+  EXPECT_EQ(back.size(), samples.size() + 1);
+}
+
+TEST(Base64, IqEventLineMatchesJsonDump) {
+  // The direct encoder must write exactly the bytes of
+  // Json{ev,burst,seq,n,data}.dump() + "\n", data being the base64 of
+  // the little-endian float32 (re,im) pairs.
+  Rng rng(11);
+  for (const std::size_t n : {0, 1, 2, 3, 64, 4096}) {
+    cvec samples(n);
+    for (cplx& x : samples) x = rng.complex_gaussian();
+    bytevec raw;
+    for (const cplx& x : samples) {
+      for (const float f :
+           {static_cast<float>(x.real()), static_cast<float>(x.imag())}) {
+        std::uint8_t b[sizeof f];
+        std::memcpy(b, &f, sizeof f);
+        raw.insert(raw.end(), b, b + sizeof f);
+      }
+    }
+    Json ev = Json::object();
+    ev.set("ev", "iq").set("burst", 7).set("seq", n).set("n", n).set(
+        "data", base64_encode(raw));
+    std::string line = "{}\n";  // the encoder appends
+    append_iq_event(line, 7, n, samples);
+    EXPECT_EQ(line, "{}\n" + ev.dump() + "\n") << n;
+  }
 }
 
 // ------------------------------------------------------------ loopback
@@ -397,6 +454,119 @@ TEST(NetServer, HugeNumericFieldsAreRejectedNotCast) {
   Json req = op("submit");
   req.set("deck", kQuickDeck).set("deadline_s", 1e300);
   EXPECT_EQ(client.request(req).str_or("error", ""), kErrBadRequest);
+  server.stop(false);
+}
+
+/// A scripted stand-in for the daemon on a raw socket: each accepted
+/// connection reads one request line, gets the next canned reply, and
+/// is held open until the client hangs up.
+class FakeServer {
+ public:
+  explicit FakeServer(std::vector<std::string> replies)
+      : replies_(std::move(replies)) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::listen(fd_, 4) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "fake server socket setup failed";
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~FakeServer() {
+    thread_.join();
+    ::close(fd_);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  void serve() {
+    for (const std::string& reply : replies_) {
+      const int c = ::accept(fd_, nullptr, nullptr);
+      if (c < 0) return;
+      char buf[4096];
+      std::string got;
+      while (got.find('\n') == std::string::npos) {
+        const ssize_t n = ::recv(c, buf, sizeof buf, 0);
+        if (n <= 0) break;
+        got.append(buf, static_cast<std::size_t>(n));
+      }
+      (void)::send(c, reply.data(), reply.size(), MSG_NOSIGNAL);
+      while (::recv(c, buf, sizeof buf, 0) > 0) {
+      }
+      ::close(c);
+    }
+  }
+
+  std::vector<std::string> replies_;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(NetClient, IqEventCountsAreRangeCheckedBeforeTheCast) {
+  // Each would be UB if static_cast to size_t unchecked. The stream is
+  // otherwise whole, so only the range check can refuse it, and the
+  // refusal must name the field.
+  const std::string done = R"({"ok":true,"op":"waveform"})" "\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"ev":"iq","burst":0,"seq":0,"data":""})", "'n'"},
+      {R"({"ev":"iq","burst":0,"seq":0,"n":-1,"data":""})", "'n'"},
+      {R"({"ev":"iq","burst":1e300,"seq":0,"n":0,"data":""})", "'burst'"},
+  };
+  std::vector<std::string> replies;
+  for (const auto& [line, field] : cases) replies.push_back(line + "\n" + done);
+  FakeServer fake(replies);
+  for (const auto& [line, field] : cases) {
+    LineClient client;
+    client.connect("127.0.0.1", fake.port());
+    Json req = op("waveform");
+    req.set("standard", "wlan_80211a@12");
+    cvec sink;
+    try {
+      (void)client.waveform(req, sink, 5.0);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const NetError& e) {
+      EXPECT_NE(std::string(e.what()).find(field + " missing or out of range"),
+                std::string::npos)
+          << line << ": " << e.what();
+    }
+    EXPECT_TRUE(sink.empty()) << line;
+  }
+}
+
+TEST(NetServer, WaveformRepliesDoNotWaitForDelayedAck) {
+  Server server(quick_config());
+  server.start();
+  LineClient client = connect_to(server);
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+
+  // Back-to-back requests on one connection: without TCP_NODELAY the
+  // last segment of a reply can wait out the peer's 40 ms delayed ACK.
+  Json req = op("waveform");
+  req.set("standard", "wlan_80211a@24").set("chunk", 64);
+  std::vector<double> ms;
+  for (int i = 0; i < 10; ++i) {
+    cvec samples;
+    const auto t0 = std::chrono::steady_clock::now();
+    const Json reply = client.waveform(req, samples);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    ASSERT_TRUE(reply.bool_or("ok", false)) << reply.dump();
+  }
+  std::nth_element(ms.begin(), ms.begin() + 5, ms.end());
+  EXPECT_LT(ms[5], 20.0) << "median waveform request time (ms)";
   server.stop(false);
 }
 
