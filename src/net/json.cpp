@@ -3,32 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace ofdm::net {
 
 namespace {
 
 constexpr std::size_t kMaxDepth = 64;
-
-/// A byte that ends a plain run inside a string: an escape or a
-/// control byte (0 or 1, so the flags of a run combine with `|`).
-unsigned special(char ch) {
-  const unsigned char c = static_cast<unsigned char>(ch);
-  return static_cast<unsigned>(c == '\\') | static_cast<unsigned>(c < 0x20);
-}
-
-/// Length of the prefix of s[0, n) free of escapes and control bytes.
-/// The branch-free pass first: the compiler vectorizes it, and a base64
-/// payload is one long plain run.
-std::size_t plain_prefix(const char* s, std::size_t n) {
-  unsigned any = 0;
-  for (std::size_t i = 0; i < n; ++i) any |= special(s[i]);
-  if (any == 0) return n;
-  std::size_t i = 0;
-  while (special(s[i]) == 0) ++i;
-  return i;
-}
 
 struct Parser {
   std::string_view text;
@@ -206,13 +186,13 @@ struct Parser {
     while (true) {
       // Copy the run of plain bytes up to the next quote, escape or
       // control byte with one append.
-      const char* const run = text.data() + pos;
-      const void* quote = std::memchr(run, '"', text.size() - pos);
-      const std::size_t n = plain_prefix(
-          run, quote != nullptr ? static_cast<const char*>(quote) - run
-                                : text.size() - pos);
-      out.append(run, n);
-      pos += n;
+      const std::size_t start = pos;
+      while (!eof()) {
+        const unsigned char c = static_cast<unsigned char>(text[pos]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos;
+      }
+      out.append(text.data() + start, pos - start);
       if (eof()) fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text[pos++]);
       if (c == '"') return out;

@@ -136,17 +136,10 @@ void pack_iq_f32(std::string& out, std::span<const cplx> samples) {
 
 void unpack_iq_f32(std::string_view base64, cvec& out) {
   check_length(base64);
-  const std::size_t pad = base64.ends_with("==") ? 2
-                          : base64.ends_with('=') ? 1
-                                                  : 0;
-  const std::size_t bytes = base64.size() / 4 * 3 - pad;
-  if (bytes % kIqBytes != 0) {
-    throw NetError("iq payload: " + std::to_string(bytes) +
-                   " bytes is not a whole number of float32 (re,im) "
-                   "pairs");
-  }
+  // Size for the unpadded length; the final group's padding is only
+  // known once decode() has read it, so `out` is shrunk at the end.
   const std::size_t at = out.size();
-  out.resize(at + bytes / kIqBytes);
+  out.resize(at + base64.size() / 4 * 3 / kIqBytes);
   cplx* x = out.data() + at;
   std::uint8_t raw[kIqBlock * kIqBytes];
   try {
@@ -154,6 +147,13 @@ void unpack_iq_f32(std::string_view base64, cvec& out) {
       const std::string_view part = base64.substr(off, kIqBlockChars);
       const std::uint8_t* end =
           decode(part, off + part.size() == base64.size(), raw);
+      // Only the last slice can end mid-pair: the others are whole blocks.
+      const std::size_t bytes = static_cast<std::size_t>(end - raw);
+      if (bytes % kIqBytes != 0) {
+        throw NetError("iq payload: " + std::to_string(off / 4 * 3 + bytes) +
+                       " bytes is not a whole number of float32 (re,im) "
+                       "pairs");
+      }
       for (const std::uint8_t* p = raw; p < end; p += kIqBytes) {
         float re, im;
         std::memcpy(&re, p, sizeof re);
@@ -165,6 +165,7 @@ void unpack_iq_f32(std::string_view base64, cvec& out) {
     out.resize(at);  // a refused payload leaves `out` as it was
     throw;
   }
+  out.resize(static_cast<std::size_t>(x - out.data()));
 }
 
 void append_iq_event(std::string& out, std::size_t burst, std::size_t seq,

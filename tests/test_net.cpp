@@ -291,6 +291,38 @@ TEST(NetServer, MalformedJsonAndErrorCapClose) {
   server.stop(false);
 }
 
+TEST(NetServer, EscapeHeavyStringsParseInLinearTime) {
+  Server server(quick_config());
+  server.start();
+  LineClient client = connect_to(server);
+
+  // Just under the default 1 MiB line cap, a string of nothing but
+  // "\n" escapes: a parser that rescans the rest of the string after
+  // each escape spends tens of seconds here.
+  std::string escapes;
+  for (std::size_t i = 0; i < (std::size_t{1} << 19) - 64; ++i) {
+    escapes += "\\n";
+  }
+  const auto timed = [&](const std::string& line) {
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_text(line);
+    const Json reply = client.recv_line(10.0);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_LT(s, 1.0) << line.size() << "-byte line";
+    return reply;
+  };
+  EXPECT_TRUE(timed(R"({"op":"ping","x":")" + escapes + "\"}\n")
+                  .bool_or("ok", false));
+  // The same string with no closing quote is refused just as fast.
+  EXPECT_EQ(timed(R"({"op":"ping","x":")" + escapes + "\n")
+                .str_or("error", ""),
+            kErrBadJson);
+  EXPECT_TRUE(client.request(op("ping")).bool_or("ok", false));
+  server.stop(false);
+}
+
 TEST(NetServer, OversizedFrameRejectedConnectionSurvives) {
   ServerConfig cfg = quick_config();
   cfg.max_line_bytes = 512;
