@@ -169,17 +169,29 @@ if ! cmp -s "$WORK/ref.json" "$WORK/cached.json"; then
     exit 1
 fi
 
-echo "== streamed waveform samples match the pinned digest =="
-# float32 (re,im) pairs of 2 drm@B bursts, seed 5: 40960 samples.
-WAVEFORM_SHA256=dd778147906dc5ddd123527d94f76cbd5802bc8d929625079e3f0e8b5e746877
-$TO "$CLIENT" waveform --port "$PORT" --standard drm@B --bursts 2 \
-    --seed 5 --out "$WORK/drm.f32" > /dev/null
-GOT="$(sha256sum "$WORK/drm.f32" | cut -d' ' -f1)"
-if [[ "$GOT" != "$WAVEFORM_SHA256" ]]; then
-    echo "error: streamed drm@B samples hash to $GOT," \
-         "pinned $WAVEFORM_SHA256" >&2
-    exit 1
-fi
+echo "== streamed waveform samples match the pinned digests =="
+# float32 (re,im) pairs, seed 5, digests recorded before the word-at-a-
+# time scrambler, filler and DMT mapping: 2 drm@B bursts (40960
+# samples, coded, phase reference), 1 adsl burst (36992 samples, DMT
+# bit table, degree-23 scrambler) and 2 wlan_80211a@24 bursts (2242
+# samples, coded, filler padding).
+check_waveform() {  # check_waveform standard bursts sha256
+    local out="$WORK/${1//[^a-z0-9]/_}.f32"
+    $TO "$CLIENT" waveform --port "$PORT" --standard "$1" --bursts "$2" \
+        --seed 5 --out "$out" > /dev/null
+    local got
+    got="$(sha256sum "$out" | cut -d' ' -f1)"
+    if [[ "$got" != "$3" ]]; then
+        echo "error: streamed $1 samples hash to $got, pinned $3" >&2
+        exit 1
+    fi
+}
+check_waveform drm@B 2 \
+    dd778147906dc5ddd123527d94f76cbd5802bc8d929625079e3f0e8b5e746877
+check_waveform adsl 1 \
+    19fb331061b095245ac0c12ebb6da839cadf06c25faa8f938ee94360f60eb05a
+check_waveform wlan_80211a@24 2 \
+    9a910e523a2050d44740a85284bf81a7e1ff1ea22cb0254945f840e51fad5ccd
 
 echo "== graceful shutdown =="
 $TO "$CLIENT" shutdown --port "$PORT" > /dev/null

@@ -18,6 +18,11 @@ namespace ofdm::coding {
 /// The polynomial is given by a tap mask: bit i set means the register
 /// cell holding the input delayed by (i+1) steps feeds the XOR sum, so
 /// x^7 + x^4 + 1 (the 802.11a scrambler) is mask (1<<6)|(1<<3).
+///
+/// The output obeys o[n] = XOR over taps i of o[n-1-i], so the next d
+/// outputs, d the smallest tap delay, depend only on bits already made:
+/// the register advances a chunk of d bits per step, with shifts and
+/// XORs on one history word (DESIGN.md §18).
 class Lfsr {
  public:
   /// `degree` is the register length (1..63); `taps` the feedback mask;
@@ -25,8 +30,16 @@ class Lfsr {
   /// The seed must be non-zero or the sequence degenerates to all zeros.
   Lfsr(unsigned degree, std::uint64_t taps, std::uint64_t seed);
 
-  /// Advance one step, returning the new feedback bit (== PRBS output).
-  std::uint8_t step();
+  /// The next n (0..64) PRBS bits, the first in the most significant of
+  /// the n low bit positions.
+  std::uint64_t next(unsigned n);
+
+  /// XOR the next bits.size() PRBS bits into a one-bit-per-byte stream
+  /// (each byte becomes (byte ^ prbs) & 1).
+  void apply(std::span<std::uint8_t> bits);
+
+  /// Append n PRBS bits to a one-bit-per-byte stream.
+  void append(bitvec& out, std::size_t n);
 
   /// Generate n PRBS bits.
   bitvec sequence(std::size_t n);
@@ -34,13 +47,24 @@ class Lfsr {
   /// Reset to a new seed.
   void reset(std::uint64_t seed);
 
-  std::uint64_t state() const { return state_; }
+  /// The register contents (bit i = the output made i+1 steps ago).
+  std::uint64_t state() const {
+    return hist_ & ((std::uint64_t{1} << degree_) - 1);
+  }
   unsigned degree() const { return degree_; }
 
  private:
+  /// Write n keystream bits to dst, XORed into its bytes when `mix`.
+  void emit(std::uint8_t* dst, std::size_t n, bool mix);
+
   unsigned degree_;
   std::uint64_t taps_;
-  std::uint64_t state_;
+  unsigned chunk_;           ///< bits per step: the smallest tap delay
+  std::uint64_t wide_taps_;  ///< taps_ with every delay scaled by 2^k
+  unsigned wide_chunk_;      ///< chunk_ scaled the same way
+  std::uint64_t ramp_;       ///< outputs before the wide recurrence holds
+  std::uint64_t made_ = 0;   ///< outputs since reset, counted up to ramp_
+  std::uint64_t hist_;       ///< bit j = the output made j+1 steps ago
 };
 
 /// Additive (synchronous) scrambler: out = in XOR PRBS. Descrambling is
@@ -51,6 +75,9 @@ class Scrambler {
 
   /// Scramble/descramble a bit stream (stateful across calls).
   bitvec process(std::span<const std::uint8_t> bits);
+
+  /// process() in place.
+  void apply(std::span<std::uint8_t> bits) { lfsr_.apply(bits); }
 
   /// Restart the PRBS from a seed (default: the construction seed).
   void reset();

@@ -71,11 +71,7 @@ std::uint64_t dispersal_seed() {
 }
 
 std::uint8_t prbs_byte(Lfsr& lfsr) {
-  std::uint8_t b = 0;
-  for (int i = 0; i < 8; ++i) {
-    b = static_cast<std::uint8_t>((b << 1) | lfsr.step());
-  }
-  return b;
+  return static_cast<std::uint8_t>(lfsr.next(8));
 }
 }  // namespace
 

@@ -19,7 +19,7 @@ cvec PilotGenerator::next_symbol() {
   double polarity = 1.0;
   if (prbs_) {
     // 802.11a convention: PRBS output 1 flips the pilot signs.
-    polarity = prbs_->step() ? -1.0 : 1.0;
+    polarity = prbs_->next(1) != 0 ? -1.0 : 1.0;
   }
   for (cplx& v : out) v *= polarity * cfg_.boost;
   return out;

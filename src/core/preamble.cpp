@@ -94,9 +94,9 @@ cvec phase_reference_values(const OfdmParams& p, std::size_t count) {
   cvec out(count);
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   for (cplx& v : out) {
-    const double re = prbs.step() ? inv_sqrt2 : -inv_sqrt2;
-    const double im = prbs.step() ? inv_sqrt2 : -inv_sqrt2;
-    v = {re, im};
+    const std::uint64_t b = prbs.next(2);
+    v = {(b & 2u) != 0 ? inv_sqrt2 : -inv_sqrt2,
+         (b & 1u) != 0 ? inv_sqrt2 : -inv_sqrt2};
   }
   return out;
 }

@@ -172,7 +172,7 @@ bitvec Transmitter::encode_payload(
   if (p.scrambler.enabled) {
     coding::Scrambler scr(p.scrambler.degree, p.scrambler.taps,
                           p.scrambler.seed);
-    bits = scr.process(bits);
+    scr.apply(bits);
   }
 
   // Filler PRBS: frame padding (RS block fill and whole-symbol fill)
@@ -184,17 +184,13 @@ bitvec Transmitter::encode_payload(
   coding::Lfsr filler(15, (std::uint64_t{1} << 14) | 1u, 0x2A2A);
 
   if (state_->rs) {
-    while (bits.size() % 8 != 0) bits.push_back(filler.step());
+    filler.append(bits, (8 - bits.size() % 8) % 8);
     bytevec bytes = bits_to_bytes_msb(bits);
     const std::size_t k = state_->rs->k();
     const std::size_t blocks =
         std::max<std::size_t>((bytes.size() + k - 1) / k, 1);
     while (bytes.size() < blocks * k) {
-      std::uint8_t b = 0;
-      for (int i = 0; i < 8; ++i) {
-        b = static_cast<std::uint8_t>((b << 1) | filler.step());
-      }
-      bytes.push_back(b);
+      bytes.push_back(static_cast<std::uint8_t>(filler.next(8)));
     }
     bytevec coded_bytes;
     coded_bytes.reserve(bytes.size() / k * state_->rs->n());
@@ -214,7 +210,7 @@ bitvec Transmitter::encode_payload(
   const std::size_t target = coded_length(payload_bits.size());
   OFDM_REQUIRE(bits.size() <= target,
                "Transmitter: internal coded-length mismatch");
-  while (bits.size() < target) bits.push_back(filler.step());
+  filler.append(bits, target - bits.size());
   return bits;
 }
 

@@ -17,10 +17,6 @@ const Kernels* table_for(Tier tier) {
     case Tier::kAvx2:
       return &avx2_kernels();
 #endif
-#if defined(__aarch64__)
-    case Tier::kNeon:
-      return &neon_kernels();
-#endif
     default:
       return &scalar_kernels();
   }
@@ -29,13 +25,9 @@ const Kernels* table_for(Tier tier) {
 /// Clamp a requested tier to what this build + CPU can actually run.
 Tier clamp_to_supported(Tier tier) {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (tier == Tier::kNeon) return best_supported_tier();
   if (tier == Tier::kAvx2 && !__builtin_cpu_supports("avx2")) {
     return Tier::kSse2;
   }
-  return tier;
-#elif defined(__aarch64__)
-  if (tier == Tier::kSse2 || tier == Tier::kAvx2) return Tier::kNeon;
   return tier;
 #else
   (void)tier;
@@ -56,11 +48,8 @@ Tier tier_from_env() {
   if (std::strcmp(env, "avx2") == 0) {
     return clamp_to_supported(Tier::kAvx2);
   }
-  if (std::strcmp(env, "neon") == 0) {
-    return clamp_to_supported(Tier::kNeon);
-  }
   OFDM_REQUIRE(false, std::string("OFDM_SIMD: unknown tier '") + env +
-                          "' (want scalar|sse2|avx2|neon|auto)");
+                          "' (want scalar|sse2|avx2|auto)");
   return Tier::kScalar;
 }
 
@@ -87,8 +76,6 @@ const Kernels* resolve() {
 Tier best_supported_tier() {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kSse2;
-#elif defined(__aarch64__)
-  return Tier::kNeon;
 #else
   return Tier::kScalar;
 #endif
@@ -113,8 +100,6 @@ std::string tier_name(Tier tier) {
       return "sse2";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kNeon:
-      return "neon";
   }
   return "scalar";
 }

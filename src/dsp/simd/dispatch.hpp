@@ -1,8 +1,9 @@
 // Runtime tier selection for the SIMD kernel table.
 //
 // The tier is chosen exactly once, at first use: the `OFDM_SIMD`
-// environment variable wins if set ("scalar", "sse2", "avx2", "neon",
-// or "auto"), otherwise the best tier the CPU supports is picked. All
+// environment variable wins if set ("scalar", "sse2", "avx2" or
+// "auto"), otherwise the best tier the CPU supports is picked. Other
+// platforms, AArch64 included, run the scalar tier. All
 // datapath code funnels through `kernels()`, so an A/B run is just
 // `OFDM_SIMD=scalar ./bench_e5` against the default.
 #pragma once
@@ -17,7 +18,6 @@ enum class Tier {
   kScalar,
   kSse2,
   kAvx2,
-  kNeon,
 };
 
 /// The active kernel table. First call resolves OFDM_SIMD + CPU
@@ -27,7 +27,7 @@ const Kernels& kernels();
 /// The active tier (resolves on first use, like kernels()).
 Tier active_tier();
 
-/// "scalar" / "sse2" / "avx2" / "neon".
+/// "scalar" / "sse2" / "avx2".
 std::string tier_name(Tier tier);
 
 /// Override the dispatch decision (benches and the digest-equivalence

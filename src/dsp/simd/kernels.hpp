@@ -1,8 +1,8 @@
 // The vectorized kernel table behind the runtime-dispatch layer.
 //
 // Every entry is a hot inner loop from the scalar datapath, restated as
-// a free function over raw pointers so a tier (scalar / SSE2 / AVX2 /
-// NEON) can supply its own implementation. The contract for every
+// a free function over raw pointers so a tier (scalar / SSE2 / AVX2)
+// can supply its own implementation. The contract for every
 // non-scalar tier is *bit-reproducibility on finite inputs*: a kernel
 // may reorder independent element lanes but must perform, per element,
 // exactly the scalar sequence of IEEE-754 operations (no FMA fusion, no
@@ -24,7 +24,7 @@
 namespace ofdm::simd {
 
 struct Kernels {
-  /// Human-readable tier name ("scalar", "sse2", "avx2", "neon").
+  /// Human-readable tier name ("scalar", "sse2", "avx2").
   const char* name;
 
   /// One radix-2 DIT stage (len < n): for every block of `len` samples,
@@ -156,11 +156,6 @@ const Kernels& scalar_kernels();
 const Kernels& sse2_kernels();
 /// AVX2 tier; only call through if the CPU reports AVX2.
 const Kernels& avx2_kernels();
-#endif
-
-#if defined(__aarch64__)
-/// NEON tier (always available on AArch64).
-const Kernels& neon_kernels();
 #endif
 
 }  // namespace ofdm::simd

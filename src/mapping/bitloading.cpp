@@ -36,29 +36,34 @@ DmtMapper::DmtMapper(BitTable table)
   for (std::uint8_t b : table_) {
     OFDM_REQUIRE(b <= kMaxBitsPerTone,
                  "DmtMapper: per-tone load must be <= 15 bits");
-  }
-  // Build the constellation cache for loads 1..15.
-  cache_.reserve(kMaxBitsPerTone + 1);
-  cache_.push_back(Constellation::make_rect(1, 0));  // placeholder for 0
-  for (std::size_t b = 1; b <= kMaxBitsPerTone; ++b) {
-    cache_.push_back(Constellation::make_rect((b + 1) / 2, b / 2));
+    // Build the constellations of the loads the table uses.
+    if (b != 0 && !cache_[b]) {
+      cache_[b] = Constellation::make_rect((b + 1) / 2, b / 2);
+    }
   }
 }
 
 const Constellation& DmtMapper::constellation_for(std::uint8_t load) const {
-  return cache_[load];
+  return *cache_[load];
 }
 
 cvec DmtMapper::map_symbol(std::span<const std::uint8_t> bits) const {
   OFDM_REQUIRE_DIM(bits.size() == bits_per_symbol_,
                    "DmtMapper::map_symbol: wrong bit count");
   cvec out(table_.size(), cplx{0.0, 0.0});
+  // Each run of tones with one load is one LUT sweep of its constellation.
   std::size_t pos = 0;
-  for (std::size_t t = 0; t < table_.size(); ++t) {
+  for (std::size_t t = 0; t < table_.size();) {
     const std::uint8_t load = table_[t];
-    if (load == 0) continue;
-    out[t] = constellation_for(load).map(bits.subspan(pos, load));
-    pos += load;
+    std::size_t end = t + 1;
+    while (end < table_.size() && table_[end] == load) ++end;
+    if (load != 0) {
+      const std::size_t n = (end - t) * load;
+      constellation_for(load).map_into(
+          bits.subspan(pos, n), std::span<cplx>(out).subspan(t, end - t));
+      pos += n;
+    }
+    t = end;
   }
   return out;
 }

@@ -8,7 +8,9 @@
 // is irrelevant to the co-modeling experiments — see DESIGN.md.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,7 +37,7 @@ BitTable compute_bit_allocation(std::span<const double> snr_db,
 
 /// Maps a serial bit stream across the tones of one DMT symbol according
 /// to a bit table, producing one complex value per tone (unused tones get
-/// zero). Constellations are cached per bit-load value.
+/// zero). Constellations are built once per bit-load value in the table.
 class DmtMapper {
  public:
   explicit DmtMapper(BitTable table);
@@ -55,7 +57,8 @@ class DmtMapper {
 
   BitTable table_;
   std::size_t bits_per_symbol_;
-  std::vector<Constellation> cache_;  // index = bit load, 1..15
+  // index = bit load; only the loads the table uses are built
+  std::array<std::optional<Constellation>, kMaxBitsPerTone + 1> cache_;
 };
 
 }  // namespace ofdm::mapping

@@ -70,13 +70,18 @@ Constellation::Constellation(std::size_t bits_i, std::size_t bits_q)
   norm_ = std::sqrt(axis_energy(bits_i_) + axis_energy(bits_q_));
   if (bits() <= kLutMaxBits) {
     lut_.resize(size());
-    bitvec pattern;
-    for (std::size_t i = 0; i < lut_.size(); ++i) {
-      pattern.clear();
-      append_uint(pattern, i, bits());
-      lut_[i] = map(pattern);
-    }
+    for (std::size_t i = 0; i < lut_.size(); ++i) lut_[i] = compute_point(i);
   }
+}
+
+cplx Constellation::compute_point(std::size_t index) const {
+  const double i_level = gray_to_level(index >> bits_q_, bits_i_);
+  double q_level = 0.0;
+  if (bits_q_ > 0) {
+    q_level = gray_to_level(index & ((std::size_t{1} << bits_q_) - 1),
+                            bits_q_);
+  }
+  return cplx{i_level, q_level} / norm_;
 }
 
 int Constellation::gray_to_level(std::size_t gray_bits, std::size_t n_bits) {
@@ -98,14 +103,7 @@ std::size_t Constellation::level_to_gray(double value, std::size_t n_bits) {
 cplx Constellation::map(std::span<const std::uint8_t> bits) const {
   OFDM_REQUIRE_DIM(bits.size() == this->bits(),
                    "Constellation::map: wrong bit count");
-  const std::size_t gi = bits_to_uint(bits, 0, bits_i_);
-  const double i_level = gray_to_level(gi, bits_i_);
-  double q_level = 0.0;
-  if (bits_q_ > 0) {
-    const std::size_t gq = bits_to_uint(bits, bits_i_, bits_q_);
-    q_level = gray_to_level(gq, bits_q_);
-  }
-  return cplx{i_level, q_level} / norm_;
+  return point(bits_to_uint(bits, 0, this->bits()));
 }
 
 cvec Constellation::map_all(std::span<const std::uint8_t> bits) const {
@@ -120,14 +118,22 @@ void Constellation::map_into(std::span<const std::uint8_t> bits,
   OFDM_REQUIRE_DIM(bits.size() % bps == 0,
                    "Constellation::map_all: bit count not a multiple of "
                    "bits per symbol");
-  const std::size_t n_sym = bits.size() / bps;
-  out.resize(n_sym);
+  out.resize(bits.size() / bps);
+  map_into(bits, std::span<cplx>(out));
+}
+
+void Constellation::map_into(std::span<const std::uint8_t> bits,
+                             std::span<cplx> out) const {
+  const std::size_t bps = this->bits();
+  OFDM_REQUIRE_DIM(bits.size() == out.size() * bps,
+                   "Constellation::map_into: bit count does not match the "
+                   "symbol count");
   if (!lut_.empty()) {
-    simd::kernels().map_lut(bits.data(), n_sym, bps, lut_.data(),
+    simd::kernels().map_lut(bits.data(), out.size(), bps, lut_.data(),
                             out.data());
     return;
   }
-  for (std::size_t i = 0; i < n_sym; ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = map(bits.subspan(i * bps, bps));
   }
 }
@@ -225,9 +231,7 @@ std::string demap_mode_name(DemapMode m) {
 
 cplx Constellation::point(std::size_t index) const {
   OFDM_REQUIRE(index < size(), "Constellation::point: index out of range");
-  bitvec bits;
-  append_uint(bits, index, this->bits());
-  return map(bits);
+  return lut_.empty() ? compute_point(index) : lut_[index];
 }
 
 }  // namespace ofdm::mapping

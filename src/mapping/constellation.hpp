@@ -60,6 +60,10 @@ class Constellation {
   /// the no-allocation path for batched transmit.
   void map_into(std::span<const std::uint8_t> bits, cvec& out) const;
 
+  /// map_all into a caller-sized span (out.size() symbols).
+  void map_into(std::span<const std::uint8_t> bits,
+                std::span<cplx> out) const;
+
   /// Hard-decision demap of one symbol back to bits (appended to `out`).
   void demap(cplx symbol, bitvec& out) const;
 
@@ -89,7 +93,8 @@ class Constellation {
                        rvec& out) const;
 
   /// The point a given bit pattern maps to (index = bits as an integer,
-  /// I bits in the high positions).
+  /// I bits in the high positions). map() is point() of its bits, and
+  /// the LUT is point() tabulated, so every path gives the same value.
   cplx point(std::size_t index) const;
 
   /// sqrt of unnormalized average energy: the K_MOD scale denominator.
@@ -100,6 +105,7 @@ class Constellation {
 
   static int gray_to_level(std::size_t gray_bits, std::size_t n_bits);
   static std::size_t level_to_gray(double value, std::size_t n_bits);
+  cplx compute_point(std::size_t index) const;
   void demap_scaled(cplx scaled, bitvec& out) const;
   const cplx* soft_points(cvec& scratch) const;
 

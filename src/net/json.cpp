@@ -1,14 +1,31 @@
 #include "net/json.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ofdm::net {
 
 namespace {
 
 constexpr std::size_t kMaxDepth = 64;
+
+/// True when none of the 8 bytes of w is '"', '\\' or below 0x20. Each
+/// test is the SWAR "has a zero byte" (or "has a byte below n") check,
+/// exact as a yes/no answer, and that answer does not depend on byte
+/// order.
+bool plain_word(std::uint64_t w) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = kOnes * 0x80;
+  const auto has_zero = [](std::uint64_t v) {
+    return (v - kOnes) & ~v & kHigh;
+  };
+  const std::uint64_t control = (w - kOnes * 0x20) & ~w & kHigh;
+  return (has_zero(w ^ (kOnes * '"')) | has_zero(w ^ (kOnes * '\\')) |
+          control) == 0;
+}
 
 struct Parser {
   std::string_view text;
@@ -185,8 +202,15 @@ struct Parser {
     std::string out;
     while (true) {
       // Copy the run of plain bytes up to the next quote, escape or
-      // control byte with one append.
+      // control byte with one append. Whole words proven plain are
+      // skipped first; the byte loop then finds the exact end. A word
+      // that fails is followed by at least one consumed special byte,
+      // so the scan stays one linear pass.
       const std::size_t start = pos;
+      for (std::uint64_t w; text.size() - pos >= sizeof w; pos += sizeof w) {
+        std::memcpy(&w, text.data() + pos, sizeof w);
+        if (!plain_word(w)) break;
+      }
       while (!eof()) {
         const unsigned char c = static_cast<unsigned char>(text[pos]);
         if (c == '"' || c == '\\' || c < 0x20) break;

@@ -24,6 +24,19 @@ struct Reverse {
 };
 constexpr Reverse kReverse;
 
+// kPairs.c[v]: the two base64 digits of the 12-bit value v, so a 3-byte
+// group is two lookups.
+struct Pairs {
+  char c[4096][2];
+  constexpr Pairs() : c() {
+    for (int v = 0; v < 4096; ++v) {
+      c[v][0] = kAlphabet[v >> 6];
+      c[v][1] = kAlphabet[v & 63];
+    }
+  }
+};
+constexpr Pairs kPairs;
+
 constexpr std::size_t kIqBytes = 2 * sizeof(float);  // one (re,im) pair
 /// Samples staged per block on both IQ paths: a multiple of 3, so a
 /// whole block is whole base64 groups and only the last block pads.
@@ -39,10 +52,8 @@ char* encode(const std::uint8_t* src, std::size_t n, char* dst) {
     const std::uint32_t v = (static_cast<std::uint32_t>(src[i]) << 16) |
                             (static_cast<std::uint32_t>(src[i + 1]) << 8) |
                             src[i + 2];
-    dst[0] = kAlphabet[v >> 18];
-    dst[1] = kAlphabet[(v >> 12) & 63];
-    dst[2] = kAlphabet[(v >> 6) & 63];
-    dst[3] = kAlphabet[v & 63];
+    std::memcpy(dst, kPairs.c[v >> 12], 2);
+    std::memcpy(dst + 2, kPairs.c[v & 0xFFF], 2);
   }
   const std::size_t rem = n - i;
   if (rem != 0) {

@@ -492,7 +492,7 @@ MotherReceiver::Result MotherReceiver::demodulate(
   if (p.scrambler.enabled) {
     coding::Scrambler scr(p.scrambler.degree, p.scrambler.taps,
                           p.scrambler.seed);
-    bits = scr.process(bits);
+    scr.apply(bits);
   }
   result.payload = std::move(bits);
   return result;

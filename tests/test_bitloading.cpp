@@ -57,6 +57,57 @@ TEST(DmtMapper, MapDemapRoundTripMixedTable) {
   EXPECT_EQ(mapper.demap_symbol(tones), bits);
 }
 
+// Gray-coded PAM level of an n-bit axis label, computed directly.
+double gray_level(std::size_t gray, std::size_t n) {
+  std::size_t b = gray;
+  for (std::size_t shift = 1; shift < n; shift <<= 1) b ^= b >> shift;
+  return 2.0 * static_cast<double>(b) -
+         static_cast<double>((std::size_t{1} << n) - 1);
+}
+
+TEST(DmtMapper, LutRunsMatchConstellationMapForEveryLoad) {
+  // Runs of 1..4 tones per load 1..15, unused tones between runs: every
+  // run goes through its constellation's LUT sweep (or, above the LUT
+  // size, the computed path) and must equal map() tone by tone, and the
+  // closed-form rectangular Gray point.
+  BitTable table;
+  for (std::uint8_t load = 1; load <= kMaxBitsPerTone; ++load) {
+    table.insert(table.end(), 1 + load % 4, load);
+    if (load % 3 == 0) table.push_back(0);
+  }
+  DmtMapper mapper(table);
+  Rng rng(105);
+  for (int trial = 0; trial < 20; ++trial) {
+    const bitvec bits = rng.bits(mapper.bits_per_symbol());
+    const cvec tones = mapper.map_symbol(bits);
+    std::size_t pos = 0;
+    for (std::size_t t = 0; t < table.size(); ++t) {
+      const std::size_t load = table[t];
+      if (load == 0) {
+        EXPECT_EQ(tones[t], cplx(0.0, 0.0));
+        continue;
+      }
+      const std::size_t bi = (load + 1) / 2;
+      const std::size_t bq = load / 2;
+      const auto sym = std::span<const std::uint8_t>(bits).subspan(pos, load);
+      const Constellation c = Constellation::make_rect(bi, bq);
+      EXPECT_EQ(tones[t], c.map(sym)) << "tone " << t << " load " << load;
+      std::size_t gi = 0, gq = 0;
+      for (std::size_t i = 0; i < bi; ++i) gi = (gi << 1) | sym[i];
+      for (std::size_t i = bi; i < load; ++i) gq = (gq << 1) | sym[i];
+      const auto energy = [](std::size_t n) {
+        const double m = static_cast<double>(std::size_t{1} << n);
+        return n == 0 ? 0.0 : (m * m - 1.0) / 3.0;
+      };
+      const cplx want =
+          cplx{gray_level(gi, bi), bq == 0 ? 0.0 : gray_level(gq, bq)} /
+          std::sqrt(energy(bi) + energy(bq));
+      EXPECT_EQ(tones[t], want) << "tone " << t << " load " << load;
+      pos += load;
+    }
+  }
+}
+
 class PerToneLoad : public ::testing::TestWithParam<int> {};
 
 TEST_P(PerToneLoad, SingleToneRoundTripAllowsNoise) {

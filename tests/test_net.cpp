@@ -73,6 +73,33 @@ TEST(Json, MalformedInputsThrow) {
   }
 }
 
+TEST(Json, StringScanFindsSpecialBytesAtEveryWordOffset) {
+  // The string scan skips 8-byte words proven plain before its byte loop;
+  // put each kind of special byte at every offset of a word, with plain
+  // runs on both sides long enough for whole words.
+  const std::string tail(19, 'b');
+  for (std::size_t k = 0; k < 16; ++k) {
+    SCOPED_TRACE("offset " + std::to_string(k));
+    const std::string head(k, 'a');
+    // Escaped quote and backslash.
+    EXPECT_EQ(json_parse("\"" + head + "\\\"\\\\" + tail + "\"").as_string(),
+              head + "\"\\" + tail);
+    // A raw quote ends the string.
+    const Json arr = json_parse("[\"" + head + "\",\"" + tail + "\"]");
+    ASSERT_EQ(arr.as_array().size(), 2u);
+    EXPECT_EQ(arr.as_array()[0].as_string(), head);
+    EXPECT_EQ(arr.as_array()[1].as_string(), tail);
+    // Control bytes are refused; 0x20, 0x7F and bytes >= 0x80 are plain.
+    for (const char c : {'\x01', '\x1f', '\0'}) {
+      EXPECT_THROW((void)json_parse("\"" + head + c + tail + "\""), NetError);
+    }
+    const std::string high = head + " \x7f\x80\xa2\xdc\x9f\xc3\xa9\xff" + tail;
+    EXPECT_EQ(json_parse("\"" + high + "\"").as_string(), high);
+    // An unterminated string fails whichever word it ends in.
+    EXPECT_THROW((void)json_parse("\"" + head + tail), NetError);
+  }
+}
+
 TEST(Json, DepthCapHolds) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += '[';

@@ -96,20 +96,34 @@ TEST(Profiles, DrmModesUseNonPow2FftSizes) {
 }
 
 TEST(Profiles, DabModeGeometry) {
-  const OfdmParams m1 = profile_dab(DabMode::kI);
-  EXPECT_EQ(m1.fft_size, 2048u);
-  EXPECT_EQ(m1.cp_len, 504u);
-  EXPECT_EQ(make_tone_layout(m1).data_bins.size(), 1536u);
-  EXPECT_NEAR(m1.subcarrier_spacing_hz(), 1000.0, 1e-9);
-  EXPECT_GT(m1.frame.null_samples, 0u);
-  EXPECT_EQ(m1.mapping, MappingKind::kDifferential);
-  EXPECT_EQ(m1.diff_kind, mapping::DiffKind::kPi4Dqpsk);
-
-  EXPECT_EQ(profile_dab(DabMode::kII).fft_size, 512u);
-  EXPECT_EQ(make_tone_layout(profile_dab(DabMode::kII)).data_bins.size(),
-            384u);
-  EXPECT_EQ(profile_dab(DabMode::kIII).fft_size, 256u);
-  EXPECT_EQ(profile_dab(DabMode::kIV).fft_size, 1024u);
+  // ETSI EN 300 401 transmission modes at 2.048 MHz: symbols per frame
+  // L, symbol length Ts, null length Tnull, guard (CP) and carriers K,
+  // all in samples.
+  struct Mode {
+    DabMode mode;
+    std::size_t symbols, ts, tnull, cp, k, fft;
+  };
+  const Mode modes[] = {
+      {DabMode::kI, 76, 2552, 2656, 504, 1536, 2048},
+      {DabMode::kII, 76, 638, 664, 126, 384, 512},
+      {DabMode::kIII, 153, 319, 345, 63, 192, 256},
+      {DabMode::kIV, 76, 1276, 1328, 252, 768, 1024},
+  };
+  for (const Mode& m : modes) {
+    const OfdmParams p = profile_dab(m.mode);
+    SCOPED_TRACE(p.variant);
+    EXPECT_DOUBLE_EQ(p.sample_rate, 2.048e6);
+    EXPECT_EQ(p.frame.symbols_per_frame, m.symbols);
+    EXPECT_EQ(p.symbol_len(), m.ts);
+    EXPECT_EQ(p.frame.null_samples, m.tnull);
+    EXPECT_EQ(p.cp_len, m.cp);
+    EXPECT_EQ(make_tone_layout(p).data_bins.size(), m.k);
+    EXPECT_EQ(p.fft_size, m.fft);
+    // Carrier spacing 1/Tu: 1, 4, 8 and 2 kHz.
+    EXPECT_NEAR(p.subcarrier_spacing_hz(), 2.048e6 / m.fft, 1e-9);
+    EXPECT_EQ(p.mapping, MappingKind::kDifferential);
+    EXPECT_EQ(p.diff_kind, mapping::DiffKind::kPi4Dqpsk);
+  }
 }
 
 TEST(Profiles, DvbtGeometry) {

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "core/profiles.hpp"
@@ -77,12 +80,29 @@ TEST(SimdDispatch, ForceTierClampsAndReports) {
   EXPECT_EQ(simd::force_tier(best), best);
   EXPECT_EQ(simd::tier_name(simd::active_tier()),
             std::string(simd::kernels().name));
-#if defined(__x86_64__) || defined(_M_X64)
-  // NEON can never be supported on x86: the request must clamp down.
-  const simd::Tier got = simd::force_tier(simd::Tier::kNeon);
-  EXPECT_NE(got, simd::Tier::kNeon);
-  simd::force_tier(best);
-#endif
+}
+
+TEST(SimdDispatchDeathTest, NeonIsRejectedLikeAnyUnknownTier) {
+  // The tier resolves once per process, so each request runs in a fresh
+  // child that sets OFDM_SIMD and resolves; a refused name exits 3 with
+  // the error text, a known one exits 0.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto resolve_with = [](const char* tier) {
+    ::setenv("OFDM_SIMD", tier, 1);
+    try {
+      (void)simd::kernels();
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::_Exit(3);
+    }
+    std::_Exit(0);
+  };
+  for (const char* tier : {"neon", "bogus", "AVX2"}) {
+    EXPECT_EXIT(resolve_with(tier), ::testing::ExitedWithCode(3),
+                std::string("unknown tier '") + tier + "'")
+        << tier;
+  }
+  EXPECT_EXIT(resolve_with("scalar"), ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(SimdTest, CvecOpsBitIdenticalAtOddSizes) {
@@ -190,7 +210,7 @@ TEST_F(SimdTest, ViterbiAcsBitIdenticalAcrossTiers) {
   const simd::Kernels& ref = simd::scalar_kernels();
   std::vector<const simd::Kernels*> tiers;
   for (simd::Tier tier :
-       {simd::Tier::kSse2, simd::Tier::kAvx2, simd::Tier::kNeon}) {
+       {simd::Tier::kSse2, simd::Tier::kAvx2}) {
     if (simd::force_tier(tier) == tier) tiers.push_back(&simd::kernels());
   }
   // Inputs per case: 0 = continuous random metrics; 1 = small integers,
