@@ -1,12 +1,12 @@
 // Ablation — why the Mother Model carries a dual-path FFT.
 //
-// DESIGN.md calls out the FFT design choice: radix-2 for the
+// DESIGN.md calls out the FFT design choice: split-radix for the
 // power-of-two family members, Bluestein for DRM's 1152/704/448-point
 // symbols, and an O(N^2) reference DFT for verification only. This
 // bench quantifies the gap between the three, justifying both the
 // existence of the Bluestein path (a reference DFT would be unusably
-// slow) and its restriction to non-power-of-two sizes (radix-2 is
-// several times faster where it applies).
+// slow) and its restriction to non-power-of-two sizes (split-radix
+// is several times faster where it applies).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -37,7 +37,7 @@ void BM_FftPlanned(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(fft.is_radix2() ? "radix-2" : "bluestein");
+  state.SetLabel(fft.is_pow2() ? "split-radix" : "bluestein");
 }
 // Power-of-two member sizes vs the DRM sizes right next to them.
 BENCHMARK(BM_FftPlanned)
@@ -69,7 +69,7 @@ void BM_PlanConstruction(benchmark::State& state) {
     dsp::Fft fft(n);
     benchmark::DoNotOptimize(&fft);
   }
-  state.SetLabel(is_pow2(n) ? "radix-2" : "bluestein");
+  state.SetLabel(is_pow2(n) ? "split-radix" : "bluestein");
 }
 BENCHMARK(BM_PlanConstruction)->Arg(1024)->Arg(1152);
 
@@ -77,7 +77,7 @@ BENCHMARK(BM_PlanConstruction)->Arg(1024)->Arg(1152);
 
 int main(int argc, char** argv) {
   std::printf("=== Ablation: FFT execution paths (DESIGN.md S2) ===\n\n");
-  std::printf("radix-2 serves the nine power-of-two members; Bluestein "
+  std::printf("split-radix serves the nine power-of-two members; Bluestein "
               "exists only\nbecause DRM's robustness modes need "
               "448/704/1152-point transforms.\n\n");
   benchmark::Initialize(&argc, argv);

@@ -12,7 +12,7 @@
 #include "core/transmitter.hpp"
 #include "metrics/ber.hpp"
 #include "rf/channel.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -37,14 +37,14 @@ int main() {
           static_cast<std::uint64_t>(frame) * 131 + 7);
       const cvec rx_samples = ch.process(burst.samples);
 
-      rx::Receiver rx_hard(params);
+      rx::MotherReceiver rx_hard(params);
       rx_hard.set_equalizer(rx_hard.estimate_equalizer(rx_samples));
       hard.add(payload,
                rx_hard.demodulate(rx_samples, payload.size()).payload);
 
-      rx::Receiver rx_soft(params);
+      rx::MotherReceiver rx_soft(params);
       rx_soft.set_equalizer(rx_soft.estimate_equalizer(rx_samples));
-      rx_soft.enable_soft_decoding(true);
+      rx_soft.set_demap(mapping::DemapMode::kSoft);
       soft.add(payload,
                rx_soft.demodulate(rx_samples, payload.size()).payload);
     }

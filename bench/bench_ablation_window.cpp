@@ -15,7 +15,7 @@
 #include "metrics/ber.hpp"
 #include "metrics/evm.hpp"
 #include "metrics/mask.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -52,7 +52,7 @@ int main() {
         metrics::check_mask(psd, metrics::wlan_mask(), 8.5e6, 9e6);
 
     // EVM against the unwindowed reference tones + loopback.
-    rx::Receiver rx(params);
+    rx::MotherReceiver rx(params);
     const auto tones =
         rx.extract_data_tones(burst.samples, burst.data_symbols);
     // Blind EVM: tones are exactly on constellation points when the

@@ -19,7 +19,7 @@
 #include "dsp/spectrum.hpp"
 #include "metrics/ber.hpp"
 #include "metrics/mask.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace {
 
@@ -65,7 +65,7 @@ Row evaluate(core::Transmitter& tx, const core::OfdmParams& prev,
   const auto psd = dsp::welch_psd(body, cfg);
   row.occ_bw_hz = metrics::occupied_bandwidth_hz(psd, 0.99);
 
-  rx::Receiver rx(tx.params());
+  rx::MotherReceiver rx(tx.params());
   const auto result = rx.demodulate(burst.samples, payload.size());
   const auto ber = metrics::ber(payload, result.payload);
   row.ber_errors = ber.errors;

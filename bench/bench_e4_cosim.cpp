@@ -22,7 +22,7 @@
 #include "rf/channel.hpp"
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace {
 
@@ -35,7 +35,7 @@ void pa_backoff_sweep() {
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
   const auto burst = tx.modulate(payload);
 
-  rx::Receiver ref_rx(params);
+  rx::MotherReceiver ref_rx(params);
   const auto clean =
       ref_rx.extract_data_tones(burst.samples, burst.data_symbols);
 
@@ -59,7 +59,7 @@ void pa_backoff_sweep() {
       if (rep == 0) rx_samples = std::move(out);
     }
 
-    rx::Receiver rx(params);
+    rx::MotherReceiver rx(params);
     rx.set_equalizer(rx.estimate_equalizer(rx_samples));
     const auto tones =
         rx.extract_data_tones(rx_samples, burst.data_symbols);
@@ -107,7 +107,7 @@ void ber_vs_snr_sweep() {
           static_cast<std::uint64_t>(frame) * 977 + 13);
       const cvec rx_samples = chain.process(burst.samples);
 
-      rx::Receiver rx(params);
+      rx::MotherReceiver rx(params);
       rx.set_equalizer(rx.estimate_equalizer(rx_samples));
       const auto result = rx.demodulate(rx_samples, payload.size());
       counter.add(payload, result.payload);

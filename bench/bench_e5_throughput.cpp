@@ -75,19 +75,14 @@ void BM_KernelFft512(benchmark::State& state, simd::Tier tier) {
       static_cast<std::int64_t>(state.iterations() * buf.size() * 2));
 }
 
-// --- FFT engine A/B sweep: legacy radix-2 vs split-radix at the
-// host's best tier, across the family's power-of-two symbol sizes plus
-// two Bluestein (DRM) sizes whose inner convolution uses the same
-// engine. Pairs are named kernel_fft<N>/<engine>; regress.py gates the
-// split-radix engine on >= 1.8x over radix-2 for at least one size.
+// --- FFT size sweep at the host's best tier, across the family's
+// power-of-two symbol sizes plus two Bluestein (DRM) sizes. Rows are
+// named kernel_fft<N>/splitradix; regress.py gates each against its
+// own baseline row.
 
-void BM_KernelFftEngine(benchmark::State& state, std::size_t n,
-                        dsp::FftEngine engine) {
+void BM_KernelFftSize(benchmark::State& state, std::size_t n) {
   set_tier(state, simd::best_supported_tier());
-  const dsp::FftEngine saved = dsp::fft_engine();
-  dsp::fft_force_engine(engine);
-  dsp::Fft fft(n);  // tables pinned at construction
-  dsp::fft_force_engine(saved);
+  dsp::Fft fft(n);
   Rng rng(7);
   cvec buf(n);
   rng.complex_gaussian_fill(buf);
@@ -98,7 +93,7 @@ void BM_KernelFftEngine(benchmark::State& state, std::size_t n,
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * buf.size() * 2));
-  state.SetLabel(dsp::fft_engine_name(engine));
+  state.SetLabel("splitradix");
 }
 
 // --- Plan-acquisition attribution: cold (tables rebuilt from nothing)
@@ -202,18 +197,13 @@ void register_kernel_benches() {
   }
 
   // FFT size sweep: every pow2 symbol size class plus the two largest
-  // DRM Bluestein sizes, one radix2/splitradix pair each.
+  // DRM Bluestein sizes.
   const std::size_t fft_sizes[] = {64, 256, 512, 2048, 8192, 448, 1152};
   for (const std::size_t n : fft_sizes) {
-    for (const auto engine :
-         {dsp::FftEngine::kRadix2, dsp::FftEngine::kSplitRadix}) {
-      benchmark::RegisterBenchmark(
-          ("kernel_fft" + std::to_string(n) + "/" +
-           dsp::fft_engine_name(engine))
-              .c_str(),
-          BM_KernelFftEngine, n, engine)
-          ->Unit(benchmark::kMicrosecond);
-    }
+    benchmark::RegisterBenchmark(
+        ("kernel_fft" + std::to_string(n) + "/splitradix").c_str(),
+        BM_KernelFftSize, n)
+        ->Unit(benchmark::kMicrosecond);
   }
 
   // Plan-acquisition cost, cold vs cached (one pow2, one Bluestein).

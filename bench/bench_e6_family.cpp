@@ -14,7 +14,7 @@
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
 #include "metrics/ber.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -61,7 +61,7 @@ int main() {
       ok_geometry = burst.samples.size() == expected &&
                     std::abs(mean_power(body) - 1.0) < 0.25;
 
-      rx::Receiver rx(params);
+      rx::MotherReceiver rx(params);
       const auto result = rx.demodulate(burst.samples, payload.size());
       ok_loopback =
           metrics::ber(payload, result.payload).errors == 0 &&

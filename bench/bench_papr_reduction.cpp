@@ -17,7 +17,7 @@
 #include "rf/pa.hpp"
 #include "rf/papr_reduction.hpp"
 #include "rf/sinks.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace {
 
@@ -63,7 +63,7 @@ void clip_filter_gain() {
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
   const auto burst = tx.modulate(payload);
 
-  rx::Receiver ref_rx(params);
+  rx::MotherReceiver ref_rx(params);
   const auto clean =
       ref_rx.extract_data_tones(burst.samples, burst.data_symbols);
 
@@ -91,7 +91,7 @@ void clip_filter_gain() {
         if (rep == 0) rx_samples = std::move(out);
       }
 
-      rx::Receiver rx(params);
+      rx::MotherReceiver rx(params);
       rx.set_equalizer(rx.estimate_equalizer(rx_samples));
       const auto tones =
           rx.extract_data_tones(rx_samples, burst.data_symbols);

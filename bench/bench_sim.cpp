@@ -69,32 +69,22 @@ int main(int argc, char** argv) {
 
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t many = hw > 1 ? hw : 4;
-  struct Config {
-    const char* suffix;  ///< appended to "threads<N>" in the JSON name
-    std::size_t threads;
-    bool use_batch;
-  };
-  // threads1 runs first so the other configs' speedup fields are
-  // relative to the single-threaded batch-API baseline.
-  const Config configs[] = {
-      {"", 1, true},
-      {"_nobatch", 1, false},  // A/B lever: per-trial allocating path
-      {"", many, true},
-  };
+  // threads1 runs first so the other config's speedup field is
+  // relative to the single-threaded baseline.
+  const std::size_t thread_counts[] = {1, many};
 
   std::ostringstream json;
   json << "{\n \"trials_per_point\": " << trials << ",\n \"configs\": [\n";
   double single_tps = 0.0;
   std::string reference_json;
   bool first = true;
-  for (const Config& cfg : configs) {
+  for (const std::size_t threads : thread_counts) {
     sim::Campaign campaign(bench_deck(trials));
     sim::RunOptions opts;
-    opts.threads = cfg.threads;
-    opts.use_batch_api = cfg.use_batch;
+    opts.threads = threads;
     campaign.run(opts);  // warm-up (allocator, code paths)
     // Best-of-3: single-shot wall times on a shared host swing by more
-    // than the effects this bench resolves (scheduling, batch API).
+    // than the effects this bench resolves (scheduling).
     auto result = campaign.run(opts);
     for (int rep = 1; rep < 3; ++rep) {
       auto again = campaign.run(opts);
@@ -111,7 +101,7 @@ int main(int argc, char** argv) {
     const double speedup = single_tps > 0.0 ? tps / single_tps : 0.0;
 
     // Free cross-check: the curve bytes must not depend on the thread
-    // count or on the batch-vs-per-trial API choice.
+    // count.
     const std::string curves =
         sim::curves_json(campaign.deck(), result);
     if (reference_json.empty()) {
@@ -123,16 +113,14 @@ int main(int argc, char** argv) {
     }
 
     if (!quiet) {
-      std::printf("threads=%-3zu batch=%d %7zu trials  %8.1f trials/s  "
+      std::printf("threads=%-3zu %7zu trials  %8.1f trials/s  "
                   "speedup %5.2fx  (%.3fs, %zu rounds)\n",
-                  cfg.threads, cfg.use_batch ? 1 : 0, total_trials, tps,
-                  speedup, result.elapsed_seconds,
-                  result.rounds_completed);
+                  threads, total_trials, tps, speedup,
+                  result.elapsed_seconds, result.rounds_completed);
     }
     if (!first) json << ",\n";
-    json << "  {\"name\": \"threads" << cfg.threads << cfg.suffix
-         << "\", \"threads\": " << cfg.threads
-         << ", \"batch\": " << (cfg.use_batch ? "true" : "false")
+    json << "  {\"name\": \"threads" << threads
+         << "\", \"threads\": " << threads
          << ", \"trials\": " << total_trials
          << ", \"trials_per_second\": " << tps
          << ", \"speedup\": " << speedup << "}";

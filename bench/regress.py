@@ -9,11 +9,9 @@ regressions beyond --tolerance are reported (exit code 1), so CI can
 gate on generation throughput. The kernel micro-benchmarks
 (kernel_*/scalar vs kernel_*/<tier>) additionally gate the SIMD
 dispatch layer: on a host whose best tier is not scalar, at least two
-kernels must hold a >= 1.5x machine-relative speedup. The FFT engine
-sweep (kernel_fft<N>/radix2 vs kernel_fft<N>/splitradix, both at the
-host's best tier) gates the split-radix engine the same way: at least
-one size must hold a >= 1.8x machine-relative speedup over the legacy
-radix-2 engine.
+kernels must hold a >= 1.5x machine-relative speedup. The FFT size
+sweep (kernel_fft<N>/splitradix, at the host's best tier) gates each
+size absolutely against its own baseline row, like every other row.
 
 --blocks switches to the observability-layer attribution mode: it runs
 bench_report_blocks (a probed Submodel -> impairment-chain sweep over
@@ -32,10 +30,9 @@ the sequential driver nor any executor configuration got slower
 relative to the checked-in numbers from the same environment.
 
 --sim runs bench_sim (the Monte-Carlo campaign engine sweeping a fixed
-802.11a AWGN workload at 1 worker vs all cores, with and without the
-batch trial API) and compares each configuration's trials-per-second
-against the BENCH_sim.json baseline. Like --graph, the gate is
-machine-relative.
+802.11a AWGN workload at 1 worker vs all cores) and compares each
+configuration's trials-per-second against the BENCH_sim.json baseline.
+Like --graph, the gate is machine-relative.
 
 --rx runs bench_rx (the RX Mother Model's per-standard stage
 throughput: synchronize, estimate_equalizer, the SIMD soft-demap
@@ -88,12 +85,6 @@ MIN_WALL_FRACTION = 0.05
 # best tier IS scalar).
 KERNEL_MIN_SPEEDUP = 1.5
 KERNEL_MIN_COUNT = 2
-
-# The FFT-engine acceptance gate: at least one kernel_fft<N>
-# radix2/splitradix pair must show the split-radix engine at this
-# machine-relative speedup over the legacy radix-2 engine.
-FFT_ENGINE_MIN_SPEEDUP = 1.8
-FFT_ENGINE_MIN_COUNT = 1
 
 
 def run_exe(build_dir: pathlib.Path, name: str, argv: list) -> dict:
@@ -208,15 +199,15 @@ def compare_rows(old: dict, new: dict, tolerance: float, extract,
 def kernel_pairs_e5(report: dict) -> tuple:
     """(tier, {kernel: speedup}) from kernel_<name>/<variant> benches.
 
-    The radix2/splitradix variants belong to the FFT-engine gate, not
-    the tier gate, and are skipped here."""
+    The kernel_fft<N>/splitradix size sweep has no scalar pair and is
+    skipped here; its rows gate absolutely through compare_rows."""
     scalar, simd, tier = {}, {}, "scalar"
     for b in report.get("benchmarks", []):
         name = b.get("name", "")
         if not name.startswith("kernel_") or "/" not in name:
             continue
         kernel, variant = name.split("/", 1)
-        if variant in ("radix2", "splitradix"):
+        if variant == "splitradix":
             continue
         ips = b.get("items_per_second", 0.0)
         if variant == "scalar":
@@ -227,46 +218,6 @@ def kernel_pairs_e5(report: dict) -> tuple:
     speedups = {k: simd[k] / scalar[k]
                 for k in simd if scalar.get(k)}
     return tier, speedups
-
-
-def fft_engine_pairs_e5(report: dict) -> dict:
-    """{kernel_fft<N>: splitradix/radix2 speedup} from the engine A/B
-    sweep (empty when the sweep did not run)."""
-    radix2, splitradix = {}, {}
-    for b in report.get("benchmarks", []):
-        name = b.get("name", "")
-        if not name.startswith("kernel_fft") or "/" not in name:
-            continue
-        kernel, variant = name.split("/", 1)
-        ips = b.get("items_per_second", 0.0)
-        if variant == "radix2":
-            radix2[kernel] = ips
-        elif variant == "splitradix":
-            splitradix[kernel] = ips
-    return {k: splitradix[k] / radix2[k]
-            for k in splitradix if radix2.get(k)}
-
-
-def check_fft_engine_speedups(speedups: dict,
-                              baseline_file: pathlib.Path) -> bool:
-    """At least FFT_ENGINE_MIN_COUNT size(s) at FFT_ENGINE_MIN_SPEEDUP x
-    split-radix over radix-2 (skipped when the sweep did not run)."""
-    if not speedups:
-        print("\nfft engine gate: skipped (no engine sweep in report)")
-        return True
-    fast = [k for k, s in speedups.items()
-            if s >= FFT_ENGINE_MIN_SPEEDUP]
-    print("\nfft engine gate (splitradix vs radix2): " +
-          ", ".join(f"{k} {speedups[k]:.2f}x" for k in sorted(speedups)))
-    if len(fast) < FFT_ENGINE_MIN_COUNT:
-        print(f"fft engine gate: {baseline_file.name}: only {len(fast)} "
-              f"size(s) at >= {FFT_ENGINE_MIN_SPEEDUP:.1f}x over radix-2 "
-              f"(need {FFT_ENGINE_MIN_COUNT}); speedups: " +
-              ", ".join(f"{k}={s:.2f}x"
-                        for k, s in sorted(speedups.items())),
-              file=sys.stderr)
-        return False
-    return True
 
 
 def kernel_pairs_blocks(report: dict) -> tuple:
@@ -382,7 +333,6 @@ gating:
     build_dir = REPO_ROOT / args.build_dir
     min_wall_fraction = 0.0
     kernel_pairs = None
-    fft_pairs = None
     if args.server:
         report = run_exe(build_dir, "bench_server", [])
         baseline_file = SERVER_FILE
@@ -432,7 +382,6 @@ gating:
         extract = rows_e5
         unit = "MS/s"
         kernel_pairs = kernel_pairs_e5(report)
-        fft_pairs = fft_engine_pairs_e5(report)
         tolerance = args.tolerance
 
     ok = True
@@ -447,9 +396,6 @@ gating:
     if kernel_pairs is not None:
         tier, speedups = kernel_pairs
         if not check_kernel_speedups(tier, speedups, baseline_file):
-            ok = False
-    if fft_pairs is not None:
-        if not check_fft_engine_speedups(fft_pairs, baseline_file):
             ok = False
     if not args.check_only:
         with open(baseline_file, "w") as f:

@@ -19,7 +19,7 @@
 #include "mapping/bitloading.hpp"
 #include "metrics/ber.hpp"
 #include "rf/channel.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -89,7 +89,7 @@ int main() {
   for (std::size_t bin = 0; bin < params.fft_size; ++bin) {
     if (std::abs(h[bin]) > 1e-9) eq[bin] = 1.0 / h[bin];
   }
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   rx.set_equalizer(eq);
 
   const auto result = rx.demodulate(rx_samples, payload.size());

@@ -18,7 +18,7 @@
 #include "metrics/ber.hpp"
 #include "rf/channel.hpp"
 #include "rf/fading.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -57,7 +57,7 @@ int main() {
                             static_cast<std::uint64_t>(frame) * 7 + 1);
       rx_samples = noise.process(rx_samples);
 
-      rx::Receiver rx(params);
+      rx::MotherReceiver rx(params);
       const auto result = rx.demodulate(rx_samples, payload.size());
       counter.add(payload, result.payload);
     }

@@ -14,7 +14,7 @@
 #include "metrics/ber.hpp"
 #include "metrics/mask.hpp"
 #include "metrics/papr.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -45,7 +45,7 @@ int main() {
     const double obw = metrics::occupied_bandwidth_hz(psd, 0.99);
 
     // Loopback check through the reference receiver.
-    rx::Receiver rx(params);
+    rx::MotherReceiver rx(params);
     const auto result = rx.demodulate(burst.samples, payload.size());
     const auto ber = metrics::ber(payload, result.payload);
 

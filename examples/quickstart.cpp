@@ -4,7 +4,8 @@
 //   $ ./quickstart
 //
 // This is the five-minute tour of the library's core loop:
-//   profile -> Transmitter::configure -> modulate -> Receiver::demodulate.
+//   profile -> Transmitter::configure -> modulate ->
+//   MotherReceiver::demodulate.
 #include <cstdio>
 
 #include "common/math_util.hpp"
@@ -13,7 +14,7 @@
 #include "core/transmitter.hpp"
 #include "metrics/ber.hpp"
 #include "metrics/papr.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -25,7 +26,7 @@ int main() {
 
   // 2. Instantiate the Mother Model and a matching reference receiver.
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   // 3. Modulate one frame of random payload bits.
   Rng rng(2025);

@@ -12,7 +12,7 @@
 #include "core/transmitter.hpp"
 #include "metrics/ber.hpp"
 #include "metrics/papr.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -40,7 +40,7 @@ int main() {
     const bitvec payload = rng.bits(n_bits);
     const auto burst = tx.modulate(payload);
 
-    rx::Receiver rx(params);
+    rx::MotherReceiver rx(params);
     const auto result = rx.demodulate(burst.samples, payload.size());
     const auto ber = metrics::ber(payload, result.payload);
 

@@ -23,7 +23,7 @@
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"
 #include "rf/submodel.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 int main() {
   using namespace ofdm;
@@ -38,7 +38,7 @@ int main() {
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
   const auto burst = tx.modulate(payload);
 
-  rx::Receiver ref_rx(params);
+  rx::MotherReceiver ref_rx(params);
   const auto clean_tones =
       ref_rx.extract_data_tones(burst.samples, burst.data_symbols);
 
@@ -66,7 +66,7 @@ int main() {
 
     // Modulation quality: equalize from the burst's own preamble, then
     // compare data tones against the clean reference.
-    rx::Receiver rx(params);
+    rx::MotherReceiver rx(params);
     rx.set_equalizer(rx.estimate_equalizer(rx_samples));
     const auto tones =
         rx.extract_data_tones(rx_samples, burst.data_symbols);

@@ -1,9 +1,7 @@
 #include "dsp/fft.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -17,53 +15,20 @@ namespace ofdm::dsp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Engine selection (OFDM_FFT environment variable, force hook)
-
-std::atomic<int> g_engine{-1};
-
-FftEngine resolve_engine() {
-  const char* env = std::getenv("OFDM_FFT");
-  FftEngine engine = FftEngine::kSplitRadix;
-  if (env != nullptr && *env != '\0' && std::strcmp(env, "auto") != 0) {
-    if (std::strcmp(env, "radix2") == 0) {
-      engine = FftEngine::kRadix2;
-    } else if (std::strcmp(env, "splitradix") == 0 ||
-               std::strcmp(env, "split-radix") == 0) {
-      engine = FftEngine::kSplitRadix;
-    } else {
-      OFDM_REQUIRE(false, std::string("OFDM_FFT: unknown engine '") + env +
-                              "' (want radix2|splitradix|auto)");
-    }
-  }
-  // First resolver wins; a concurrent fft_force_engine() may already
-  // have installed a choice, in which case keep it.
-  int expected = -1;
-  g_engine.compare_exchange_strong(expected,
-                                   static_cast<int>(engine),
-                                   std::memory_order_acq_rel);
-  return static_cast<FftEngine>(g_engine.load(std::memory_order_acquire));
-}
-
-// ---------------------------------------------------------------------------
 // Immutable table sets (shared across plans via the process-wide cache)
 
-/// Power-of-two butterfly tables. Two layouts behind one type:
-///
-///  * split-radix (the default for n >= 8): `perm` is the mixed
-///    digit-reversal gather permutation of the recursive
-///    [evens | odd1 | odd3] layout, `quads`/`pairs` list the output
-///    offsets of the trivial-twiddle base units the gather pass fuses
-///    in, and `levels` holds the combine schedule in ascending block
-///    size (8 ... n, the last entry being the single full-size block).
-///    Twiddles are two contiguous planes per level (all W^j, then all
-///    W^{3j}) so the SIMD combine loops load them sequentially.
-///  * legacy radix-2 (n < 8, or OFDM_FFT=radix2): the PR 6 bit-reversal
-///    + stage-major twiddle layout, kept as the A/B fallback.
+/// Split-radix power-of-two tables: `perm` is the mixed digit-reversal
+/// gather permutation of the recursive [evens | odd1 | odd3] layout,
+/// `quads`/`pairs` list the output offsets of the trivial-twiddle base
+/// units the gather pass fuses in, and `levels` holds the combine
+/// schedule in ascending block size (8 ... n, the last entry being the
+/// single full-size block). Twiddles are two contiguous planes per level
+/// (all W^j, then all W^{3j}) so the SIMD combine loops load them
+/// sequentially. Sizes 1, 2 and 4 have no level: their single base unit
+/// (none for n == 1) is the whole transform.
 struct PowTables {
   std::size_t n = 0;
-  bool split_radix = false;
 
-  // split-radix
   struct Level {
     std::size_t n4 = 0;      // block size / 4
     std::size_t tw_off = 0;  // offset of this level's twiddle planes
@@ -75,53 +40,13 @@ struct PowTables {
   cvec sr_tw;      // per-level [W^j | W^{3j}] planes, W = e^{-2πi/size}
   cvec sr_tw_inv;  // conjugate table for the inverse
   std::vector<Level> levels;
-
-  // legacy radix-2
-  std::vector<std::size_t> bitrev;
-  cvec stage_tw;
-  cvec stage_tw_inv;
 };
-
-PowTables build_radix2(std::size_t n) {
-  PowTables t;
-  t.n = n;
-  t.split_radix = false;
-  t.bitrev.resize(n);
-  std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n) ++log2n;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < log2n; ++b) {
-      r |= ((i >> b) & 1u) << (log2n - 1 - b);
-    }
-    t.bitrev[i] = r;
-  }
-  cvec twiddle(n / 2);  // e^{-j2πk/n}, k in [0, n/2)
-  for (std::size_t k = 0; k < n / 2; ++k) {
-    const double a =
-        -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-    twiddle[k] = {std::cos(a), std::sin(a)};
-  }
-  // Stage with half butterflies starts at offset half - 1 (the halves
-  // of all earlier stages sum to 1 + 2 + ... + half/2 = half - 1) and
-  // holds twiddle[k * step], step = n / (2*half).
-  t.stage_tw.resize(n >= 2 ? n - 1 : 0);
-  t.stage_tw_inv.resize(t.stage_tw.size());
-  for (std::size_t half = 1; half < n; half <<= 1) {
-    const std::size_t step = n / (2 * half);
-    for (std::size_t k = 0; k < half; ++k) {
-      t.stage_tw[half - 1 + k] = twiddle[k * step];
-      t.stage_tw_inv[half - 1 + k] = std::conj(twiddle[k * step]);
-    }
-  }
-  return t;
-}
 
 PowTables build_split_radix(std::size_t n) {
   PowTables t;
   t.n = n;
-  t.split_radix = true;
   t.perm.resize(n);
+  if (n == 1) return t;  // no base unit: execute_pow copies the sample
   std::size_t log2n = 0;
   while ((std::size_t{1} << log2n) < n) ++log2n;
 
@@ -192,51 +117,36 @@ PowTables build_split_radix(std::size_t n) {
   return t;
 }
 
-/// Run the power-of-two transform. The split-radix gather pass is
-/// out-of-place by construction, so an in-place request (in == out)
-/// must supply `scratch` (n complexes): the gather and mid-level
-/// combines run in the scratch buffer and the final combine level
-/// writes back to `out` — no extra copy pass anywhere. The legacy
-/// radix-2 path copies and swaps in place, exactly as before this
-/// engine existed.
+/// Run the power-of-two transform. The gather pass is out-of-place by
+/// construction, so an in-place request (in == out) must supply
+/// `scratch` (n complexes): the gather and mid-level combines run in
+/// the scratch buffer and the final combine level writes back to `out`
+/// — no extra copy pass anywhere. Without a level (n <= 4) the gathered
+/// base unit is the result; the scale pass moves it to `out`.
 void execute_pow(const PowTables& t, const cplx* in, cplx* out,
                  bool inverse, double scale, cplx* scratch = nullptr) {
   const simd::Kernels& kr = simd::kernels();
-  if (t.split_radix) {
-    cplx* mid = (in == out) ? scratch : out;
-    const cplx* tw = (inverse ? t.sr_tw_inv : t.sr_tw).data();
-    kr.fft_sr_gather(in, mid, t.perm.data(), t.quads.data(),
-                     t.quads.size(), t.pairs.data(), t.pairs.size(),
-                     inverse);
-    const std::size_t n_levels = t.levels.size();
-    for (std::size_t l = 0; l + 1 < n_levels; ++l) {
-      const PowTables::Level& lvl = t.levels[l];
-      kr.fft_sr_combine(mid, tw + lvl.tw_off, lvl.offsets.data(),
-                        lvl.offsets.size(), lvl.n4, inverse);
-    }
-    const PowTables::Level& last = t.levels.back();
-    kr.fft_sr_last(mid, out, tw + last.tw_off, last.n4, inverse, scale);
-    return;
-  }
-  const std::size_t n = t.n;
-  if (out != in) std::copy(in, in + n, out);
-  if (n < 2) {
+  cplx* mid = (in == out) ? scratch : out;
+  kr.fft_sr_gather(in, mid, t.perm.data(), t.quads.data(), t.quads.size(),
+                   t.pairs.data(), t.pairs.size(), inverse);
+  if (t.levels.empty()) {
+    const cplx* src = t.n == 1 ? in : mid;
     if (scale != 1.0) {
-      for (std::size_t i = 0; i < n; ++i) out[i] *= scale;
+      kr.cvec_scale(src, scale, out, t.n);
+    } else if (src != out) {
+      std::copy(src, src + t.n, out);
     }
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = t.bitrev[i];
-    if (i < j) std::swap(out[i], out[j]);
+  const cplx* tw = (inverse ? t.sr_tw_inv : t.sr_tw).data();
+  const std::size_t n_levels = t.levels.size();
+  for (std::size_t l = 0; l + 1 < n_levels; ++l) {
+    const PowTables::Level& lvl = t.levels[l];
+    kr.fft_sr_combine(mid, tw + lvl.tw_off, lvl.offsets.data(),
+                      lvl.offsets.size(), lvl.n4, inverse);
   }
-  const cplx* tw = (inverse ? t.stage_tw_inv : t.stage_tw).data();
-  for (std::size_t len = 2; len < n; len <<= 1) {
-    const std::size_t half = len / 2;
-    kr.fft_stage(out, tw + (half - 1), n, len);
-  }
-  const std::size_t half = n / 2;
-  kr.fft_last_stage(out, tw + (half - 1), half, scale);
+  const PowTables::Level& last = t.levels.back();
+  kr.fft_sr_last(mid, out, tw + last.tw_off, last.n4, inverse, scale);
 }
 
 /// Bluestein chirp-z tables: the chirp, the two transformed
@@ -314,7 +224,7 @@ HalfTables build_half(std::size_t n) {
 // ---------------------------------------------------------------------------
 // Process-wide plan-table cache
 //
-// Keyed by (size, kind, engine). Values are shared_ptr to immutable
+// Keyed by (size, kind). Values are shared_ptr to immutable
 // table sets: plans hold shared ownership, so clearing the cache (or
 // two threads racing on a build) can never invalidate a live plan.
 // Builds run outside the lock — table construction may itself acquire
@@ -339,10 +249,9 @@ CacheState& cache() {
   return *s;
 }
 
-std::uint64_t cache_key(std::size_t n, TableKind kind, FftEngine engine) {
-  return (static_cast<std::uint64_t>(n) << 4) |
-         (static_cast<std::uint64_t>(kind) << 1) |
-         static_cast<std::uint64_t>(engine == FftEngine::kSplitRadix);
+std::uint64_t cache_key(std::size_t n, TableKind kind) {
+  return (static_cast<std::uint64_t>(n) << 2) |
+         static_cast<std::uint64_t>(kind);
 }
 
 template <typename T, typename Build>
@@ -367,27 +276,19 @@ std::shared_ptr<const T> acquire(std::uint64_t key, Build&& build) {
   return std::static_pointer_cast<const T>(it->second);
 }
 
-std::shared_ptr<const PowTables> acquire_pow(std::size_t n,
-                                             FftEngine engine) {
-  // Sizes below 8 have no non-trivial split-radix level; they always
-  // run the (trivial) radix-2 path, under one cache entry.
-  if (n < 8) engine = FftEngine::kRadix2;
-  return acquire<PowTables>(
-      cache_key(n, TableKind::kPow, engine), [n, engine] {
-        return std::make_shared<const PowTables>(
-            engine == FftEngine::kSplitRadix ? build_split_radix(n)
-                                             : build_radix2(n));
-      });
+std::shared_ptr<const PowTables> acquire_pow(std::size_t n) {
+  return acquire<PowTables>(cache_key(n, TableKind::kPow), [n] {
+    return std::make_shared<const PowTables>(build_split_radix(n));
+  });
 }
 
-std::shared_ptr<const BluesteinTables> acquire_bluestein(
-    std::size_t n, FftEngine engine) {
+std::shared_ptr<const BluesteinTables> acquire_bluestein(std::size_t n) {
   return acquire<BluesteinTables>(
-      cache_key(n, TableKind::kBluestein, engine), [n, engine] {
+      cache_key(n, TableKind::kBluestein), [n] {
         auto t = std::make_shared<BluesteinTables>();
         t->n = n;
         t->m = next_pow2(2 * n - 1);
-        t->conv = acquire_pow(t->m, engine);
+        t->conv = acquire_pow(t->m);
         t->chirp_fwd.resize(n);
         for (std::size_t k = 0; k < n; ++k) {
           // k² mod 2n keeps the argument small for large N without
@@ -405,7 +306,7 @@ std::shared_ptr<const BluesteinTables> acquire_bluestein(
 
 std::shared_ptr<const HalfTables> acquire_half(std::size_t n) {
   return acquire<HalfTables>(
-      cache_key(n, TableKind::kHalf, FftEngine::kRadix2), [n] {
+      cache_key(n, TableKind::kHalf), [n] {
         return std::make_shared<const HalfTables>(build_half(n));
       });
 }
@@ -413,22 +314,7 @@ std::shared_ptr<const HalfTables> acquire_half(std::size_t n) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Public engine / cache hooks
-
-FftEngine fft_engine() {
-  const int v = g_engine.load(std::memory_order_acquire);
-  if (v < 0) return resolve_engine();
-  return static_cast<FftEngine>(v);
-}
-
-FftEngine fft_force_engine(FftEngine engine) {
-  g_engine.store(static_cast<int>(engine), std::memory_order_release);
-  return engine;
-}
-
-const char* fft_engine_name(FftEngine engine) {
-  return engine == FftEngine::kSplitRadix ? "splitradix" : "radix2";
-}
+// Public cache hooks
 
 FftCacheStats fft_plan_cache_stats() {
   CacheState& c = cache();
@@ -453,7 +339,7 @@ struct Fft::Impl {
   std::shared_ptr<const BluesteinTables> blu;
   // Mutable scratch is plan-private (the shared tables are immutable),
   // preserving the one-thread-per-plan execution contract. For
-  // split-radix plans `work` stages in-place requests through the
+  // power-of-two plans `work` stages in-place requests through the
   // out-of-place gather; for Bluestein, work/work2 are the two m-point
   // convolution buffers.
   mutable cvec work;
@@ -475,8 +361,8 @@ struct Fft::Impl {
     });
   }
 
-  /// Shared entry for the pow2 paths: in-place split-radix requests
-  /// hand the plan's scratch buffer to the executor, which runs the
+  /// Shared entry for the pow2 paths: in-place requests hand the
+  /// plan's scratch buffer to the executor, which runs the
   /// early levels there and finishes into `out`.
   void run_pow(std::span<const cplx> in, std::span<cplx> out,
                bool inverse, double scale) const {
@@ -487,11 +373,11 @@ struct Fft::Impl {
 Fft::Fft(std::size_t n) : impl_(std::make_unique<Impl>()) {
   OFDM_REQUIRE(n >= 1, "Fft: size must be >= 1");
   impl_->n = n;
-  if (is_pow2(n)) {
-    impl_->pow = acquire_pow(n, fft_engine());
-    if (impl_->pow->split_radix) impl_->work.resize(n);
+  if (ofdm::is_pow2(n)) {
+    impl_->pow = acquire_pow(n);
+    impl_->work.resize(n);
   } else {
-    impl_->blu = acquire_bluestein(n, fft_engine());
+    impl_->blu = acquire_bluestein(n);
     impl_->work.resize(impl_->blu->m);
     impl_->work2.resize(impl_->blu->m);
   }
@@ -502,7 +388,7 @@ Fft::Fft(Fft&&) noexcept = default;
 Fft& Fft::operator=(Fft&&) noexcept = default;
 
 std::size_t Fft::size() const { return impl_->n; }
-bool Fft::is_radix2() const { return impl_->pow != nullptr; }
+bool Fft::is_pow2() const { return impl_->pow != nullptr; }
 
 void Fft::forward(std::span<const cplx> in, std::span<cplx> out) const {
   OFDM_REQUIRE_DIM(in.size() == impl_->n && out.size() == impl_->n,

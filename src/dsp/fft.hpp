@@ -5,13 +5,13 @@
 //  * power-of-two sizes  -> split-radix DIT butterflies (2 complex
 //    multiplies per 4 outputs) over the SIMD kernel table, with the
 //    mixed digit-reversal permutation fused into a vectorized
-//    first-stage gather pass (no scalar scatter loop). Sizes < 8 and
-//    the OFDM_FFT=radix2 fallback run the legacy iterative radix-2
-//    path instead.
+//    first-stage gather pass (no scalar scatter loop). Sizes 1, 2 and
+//    4 are that gather pass alone: its exact ±1/±j base units are the
+//    whole transform.
 //  * any other size      -> Bluestein's chirp-z algorithm, needed
 //    because the DRM robustness modes use non-power-of-two symbol
 //    lengths (1152, 704, 448 samples at the 48 kHz master rate). Its
-//    inner power-of-two convolution FFT goes through the same engine.
+//    inner power-of-two convolution FFT goes through the same plans.
 //
 // Plan kinds: the complex transform above, plus two first-class
 // half-size kinds for the real-signal standards — forward_real()
@@ -23,7 +23,7 @@
 //
 // The immutable tables behind a plan (twiddle planes, digit-reversal
 // permutation, Bluestein chirp/kernels) live in a process-wide
-// thread-safe cache keyed by (size, kind, engine): every Modulator,
+// thread-safe cache keyed by (size, kind): every Modulator,
 // receiver, spectrum estimate, LinkRunner worker and Bluestein inner
 // transform of the same size shares one table set instead of
 // rebuilding it. Plans own only their mutable scratch, so executing a
@@ -40,28 +40,6 @@
 #include "common/types.hpp"
 
 namespace ofdm::dsp {
-
-/// Power-of-two butterfly engine. kSplitRadix is the default; kRadix2
-/// is the legacy fallback kept as an A/B lever (OFDM_FFT=radix2), the
-/// same shape as the OFDM_SIMD=scalar tier lever. Golden-trace digests
-/// are blessed for kSplitRadix.
-enum class FftEngine {
-  kRadix2,
-  kSplitRadix,
-};
-
-/// The engine new plans use. First call resolves the OFDM_FFT
-/// environment variable ("radix2", "splitradix", "auto"); later calls
-/// are an atomic load. Unknown values throw ConfigError.
-FftEngine fft_engine();
-
-/// Override the engine decision (benches and the engine-equivalence
-/// test use this to pit the two pow2 paths against each other).
-/// Existing plans keep the engine they were built with.
-FftEngine fft_force_engine(FftEngine engine);
-
-/// "radix2" / "splitradix".
-const char* fft_engine_name(FftEngine engine);
 
 /// Observability hooks for the process-wide plan-table cache.
 struct FftCacheStats {
@@ -92,9 +70,9 @@ class Fft {
 
   std::size_t size() const;
 
-  /// True if this plan runs a power-of-two butterfly path (split-radix
-  /// or radix-2) rather than Bluestein. Kept under its historical name.
-  bool is_radix2() const;
+  /// True if this plan runs the power-of-two split-radix path rather
+  /// than Bluestein.
+  bool is_pow2() const;
 
   /// Forward DFT. in.size() == out.size() == size(). In-place allowed.
   void forward(std::span<const cplx> in, std::span<cplx> out) const;

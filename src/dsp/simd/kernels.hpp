@@ -27,19 +27,6 @@ struct Kernels {
   /// Human-readable tier name ("scalar", "sse2", "avx2").
   const char* name;
 
-  /// One radix-2 DIT stage (len < n): for every block of `len` samples,
-  /// half = len/2 butterflies
-  ///   t = d[base+k+half] * tw[k];  d[base+k] = u + t;  d[base+k+half] = u - t;
-  /// with a contiguous per-stage twiddle table tw[0..half).
-  void (*fft_stage)(cplx* d, const cplx* tw, std::size_t n,
-                    std::size_t len);
-
-  /// The final stage (single block, half = n/2) with the output scale
-  /// folded into the butterfly writes: (u ± t) * scale. scale == 1.0
-  /// must skip the multiply entirely (matching the scalar reference).
-  void (*fft_last_stage)(cplx* d, const cplx* tw, std::size_t half,
-                         double scale);
-
   /// Split-radix fused first pass: gather the mixed digit-reversal
   /// permutation out[i] = in[perm[i]] and apply the trivial-twiddle
   /// base butterflies in the same sweep (this is what retires the old

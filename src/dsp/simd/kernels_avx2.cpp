@@ -46,97 +46,6 @@ inline void store1(cplx* p, __m128d v) {
   _mm_storeu_pd(reinterpret_cast<double*>(p), v);
 }
 
-/// One butterfly via SSE lanes (tails and half == 1 stages).
-inline void butterfly1(cplx* lo, cplx* hi, const cplx* tw) {
-  const __m128d b = load1(tw);
-  const __m128d a = load1(hi);
-  const __m128d b_re = _mm_shuffle_pd(b, b, 0x0);
-  const __m128d b_im = _mm_shuffle_pd(b, b, 0x3);
-  const __m128d a_swap = _mm_shuffle_pd(a, a, 0x1);
-  const __m128d t =
-      _mm_addsub_pd(_mm_mul_pd(a, b_re), _mm_mul_pd(a_swap, b_im));
-  const __m128d u = load1(lo);
-  store1(lo, _mm_add_pd(u, t));
-  store1(hi, _mm_sub_pd(u, t));
-}
-
-void fft_stage(cplx* d, const cplx* tw, std::size_t n,
-               std::size_t len) {
-  const std::size_t half = len / 2;
-  if (half >= 2) {
-    for (std::size_t base = 0; base < n; base += len) {
-      cplx* lo = d + base;
-      cplx* hi = lo + half;
-      std::size_t k = 0;
-      for (; k + 2 <= half; k += 2) {
-        const __m256d t = cmul(load2(hi + k), load2(tw + k));
-        const __m256d u = load2(lo + k);
-        store2(lo + k, _mm256_add_pd(u, t));
-        store2(hi + k, _mm256_sub_pd(u, t));
-      }
-      for (; k < half; ++k) butterfly1(lo + k, hi + k, tw + k);
-    }
-    return;
-  }
-  // len == 2: one-butterfly blocks. Vectorize across two adjacent
-  // blocks: [u0, h0] and [u1, h1] regroup into [u0, u1] / [h0, h1].
-  const __m256d w = _mm256_broadcast_pd(
-      reinterpret_cast<const __m128d*>(tw));
-  std::size_t base = 0;
-  for (; base + 4 <= n; base += 4) {
-    const __m256d v0 = load2(d + base);
-    const __m256d v1 = load2(d + base + 2);
-    const __m256d u = _mm256_permute2f128_pd(v0, v1, 0x20);
-    const __m256d h = _mm256_permute2f128_pd(v0, v1, 0x31);
-    const __m256d t = cmul(h, w);
-    const __m256d lo = _mm256_add_pd(u, t);
-    const __m256d hi = _mm256_sub_pd(u, t);
-    store2(d + base, _mm256_permute2f128_pd(lo, hi, 0x20));
-    store2(d + base + 2, _mm256_permute2f128_pd(lo, hi, 0x31));
-  }
-  for (; base < n; base += 2) {
-    butterfly1(d + base, d + base + 1, tw);
-  }
-}
-
-void fft_last_stage(cplx* d, const cplx* tw, std::size_t half,
-                    double scale) {
-  cplx* lo = d;
-  cplx* hi = d + half;
-  if (scale == 1.0) {
-    std::size_t k = 0;
-    for (; k + 2 <= half; k += 2) {
-      const __m256d t = cmul(load2(hi + k), load2(tw + k));
-      const __m256d u = load2(lo + k);
-      store2(lo + k, _mm256_add_pd(u, t));
-      store2(hi + k, _mm256_sub_pd(u, t));
-    }
-    for (; k < half; ++k) butterfly1(lo + k, hi + k, tw + k);
-    return;
-  }
-  const __m256d s = _mm256_set1_pd(scale);
-  std::size_t k = 0;
-  for (; k + 2 <= half; k += 2) {
-    const __m256d t = cmul(load2(hi + k), load2(tw + k));
-    const __m256d u = load2(lo + k);
-    store2(lo + k, _mm256_mul_pd(_mm256_add_pd(u, t), s));
-    store2(hi + k, _mm256_mul_pd(_mm256_sub_pd(u, t), s));
-  }
-  const __m128d s1 = _mm256_castpd256_pd128(s);
-  for (; k < half; ++k) {
-    const __m128d b = load1(tw + k);
-    const __m128d a = load1(hi + k);
-    const __m128d b_re = _mm_shuffle_pd(b, b, 0x0);
-    const __m128d b_im = _mm_shuffle_pd(b, b, 0x3);
-    const __m128d a_swap = _mm_shuffle_pd(a, a, 0x1);
-    const __m128d t =
-        _mm_addsub_pd(_mm_mul_pd(a, b_re), _mm_mul_pd(a_swap, b_im));
-    const __m128d u = load1(lo + k);
-    store1(lo + k, _mm_mul_pd(_mm_add_pd(u, t), s1));
-    store1(hi + k, _mm_mul_pd(_mm_sub_pd(u, t), s1));
-  }
-}
-
 // The split-radix ∓j legs are a component swap plus an XOR sign flip
 // — both exact, matching the scalar rot90 bit-for-bit. The masks
 // negate the imaginary lane(s) forward (-j) and the real lane(s)
@@ -489,8 +398,6 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
 const Kernels& avx2_kernels() {
   static const Kernels table = {
       "avx2",
-      avx2::fft_stage,
-      avx2::fft_last_stage,
       avx2::fft_sr_gather,
       avx2::fft_sr_combine,
       avx2::fft_sr_last,

@@ -21,42 +21,6 @@ inline cplx cmul(const cplx& a, const cplx& b) {
   return {ar * br - ai * bi, ar * bi + ai * br};
 }
 
-void fft_stage(cplx* d, const cplx* tw, std::size_t n,
-               std::size_t len) {
-  const std::size_t half = len / 2;
-  for (std::size_t base = 0; base < n; base += len) {
-    cplx* lo = d + base;
-    cplx* hi = lo + half;
-    for (std::size_t k = 0; k < half; ++k) {
-      const cplx t = cmul(hi[k], tw[k]);
-      const cplx u = lo[k];
-      lo[k] = u + t;
-      hi[k] = u - t;
-    }
-  }
-}
-
-void fft_last_stage(cplx* d, const cplx* tw, std::size_t half,
-                    double scale) {
-  cplx* lo = d;
-  cplx* hi = d + half;
-  if (scale == 1.0) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const cplx t = cmul(hi[k], tw[k]);
-      const cplx u = lo[k];
-      lo[k] = u + t;
-      hi[k] = u - t;
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < half; ++k) {
-    const cplx t = cmul(hi[k], tw[k]);
-    const cplx u = lo[k];
-    lo[k] = (u + t) * scale;
-    hi[k] = (u - t) * scale;
-  }
-}
-
 /// ∓j * v: (v.im, -v.re) forward, (-v.im, v.re) inverse. A component
 /// swap plus a sign flip — exact in IEEE-754, so the split-radix
 /// butterflies need no separate inverse twiddle trick for the ±j legs.
@@ -268,8 +232,6 @@ void viterbi_acs(double* metric, std::size_t states,
 const Kernels& scalar_kernels() {
   static const Kernels table = {
       "scalar",
-      scalar::fft_stage,
-      scalar::fft_last_stage,
       scalar::fft_sr_gather,
       scalar::fft_sr_combine,
       scalar::fft_sr_last,

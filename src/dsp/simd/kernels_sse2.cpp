@@ -48,43 +48,6 @@ inline void store(cplx* p, __m128d v) {
   _mm_storeu_pd(reinterpret_cast<double*>(p), v);
 }
 
-void fft_stage(cplx* d, const cplx* tw, std::size_t n,
-               std::size_t len) {
-  const std::size_t half = len / 2;
-  for (std::size_t base = 0; base < n; base += len) {
-    cplx* lo = d + base;
-    cplx* hi = lo + half;
-    for (std::size_t k = 0; k < half; ++k) {
-      const __m128d t = cmul(load(hi + k), load(tw + k));
-      const __m128d u = load(lo + k);
-      store(lo + k, _mm_add_pd(u, t));
-      store(hi + k, _mm_sub_pd(u, t));
-    }
-  }
-}
-
-void fft_last_stage(cplx* d, const cplx* tw, std::size_t half,
-                    double scale) {
-  cplx* lo = d;
-  cplx* hi = d + half;
-  if (scale == 1.0) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const __m128d t = cmul(load(hi + k), load(tw + k));
-      const __m128d u = load(lo + k);
-      store(lo + k, _mm_add_pd(u, t));
-      store(hi + k, _mm_sub_pd(u, t));
-    }
-    return;
-  }
-  const __m128d s = _mm_set1_pd(scale);
-  for (std::size_t k = 0; k < half; ++k) {
-    const __m128d t = cmul(load(hi + k), load(tw + k));
-    const __m128d u = load(lo + k);
-    store(lo + k, _mm_mul_pd(_mm_add_pd(u, t), s));
-    store(hi + k, _mm_mul_pd(_mm_sub_pd(u, t), s));
-  }
-}
-
 inline __m128d neg_hi_mask() {
   return _mm_castsi128_pd(
       _mm_set_epi64x(static_cast<long long>(0x8000000000000000ULL), 0));
@@ -405,8 +368,6 @@ void viterbi_acs(double* metric, std::size_t states,
 const Kernels& sse2_kernels() {
   static const Kernels table = {
       "sse2",
-      sse2::fft_stage,
-      sse2::fft_last_stage,
       sse2::fft_sr_gather,
       sse2::fft_sr_combine,
       sse2::fft_sr_last,

@@ -101,7 +101,7 @@ void WlanTx::set_payload(bitvec payload) {
 void WlanTx::start_symbol() {
   phase_ = Phase::kBitgen;
   counter_ = 0;
-  fft_stage_ = 0;
+  fft_level_ = 0;
   fft_butterfly_ = 0;
   // Pilot polarity PRBS steps once per symbol (x^7+x^4+1, all-ones seed).
   const auto fb = static_cast<std::uint16_t>(
@@ -162,9 +162,10 @@ void WlanTx::on_clock() {
       break;
     }
     case Phase::kFft: {
-      // One radix-2 DIT butterfly per clock, same traversal order and
-      // arithmetic as the behavioural FFT.
-      const std::size_t len = std::size_t{2} << fft_stage_;
+      // One radix-2 DIT butterfly per clock, the textbook hardware
+      // datapath; it matches the behavioural split-radix FFT to
+      // rounding, not bit for bit.
+      const std::size_t len = std::size_t{2} << fft_level_;
       const std::size_t half = len / 2;
       const std::size_t step = kN / len;
       const std::size_t base = (fft_butterfly_ / half) * len;
@@ -176,7 +177,7 @@ void WlanTx::on_clock() {
       fft_ram_[base + k + half] = u - t;
       if (++fft_butterfly_ == kN / 2) {
         fft_butterfly_ = 0;
-        if (++fft_stage_ == kStages) {
+        if (++fft_level_ == kStages) {
           phase_ = Phase::kOutput;
           counter_ = 0;
         }

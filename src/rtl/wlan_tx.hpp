@@ -66,7 +66,7 @@ class WlanTx {
   Phase phase_ = Phase::kDone;
   std::size_t symbol_ = 0;
   std::size_t counter_ = 0;
-  std::size_t fft_stage_ = 0;
+  std::size_t fft_level_ = 0;
   std::size_t fft_butterfly_ = 0;
   std::uint8_t scr_state_ = 0x5D;
   std::uint32_t conv_window_ = 0;

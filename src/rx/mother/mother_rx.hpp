@@ -4,8 +4,9 @@
 // equalization -> (hard|soft) demap -> deinterleave -> depuncture ->
 // soft-decision Viterbi and/or Reed-Solomon decode -> descramble —
 // reconfigured from the same OfdmParams that drive the TX side, so any
-// member of the ten-standard family is an instance of it. The generic
-// rx::Receiver is a thin compatibility wrapper over this class.
+// member of the ten-standard family is an instance of it. It is the
+// one receiver every caller — tests, benches, examples, campaigns and
+// the WLAN acquisition front end — decodes with.
 #pragma once
 
 #include <optional>

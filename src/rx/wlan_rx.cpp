@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "core/preamble.hpp"
 #include "dsp/fft.hpp"
+#include "rx/mother/mother_rx.hpp"
 #include "rx/sync.hpp"
 
 namespace ofdm::rx {
@@ -128,9 +129,9 @@ WlanRxResult WlanPacketReceiver::receive(std::span<const cplx> stream,
 
   // 6/7. Generic pipeline with the estimated equalizer and pilot-based
   // common-phase-error tracking (absorbs residual CFO).
-  Receiver rx(params_);
+  MotherReceiver rx(params_);
   rx.set_equalizer(std::move(eq));
-  rx.enable_pilot_phase_tracking(true);
+  rx.set_pilot_tracking(true);
   auto decoded = rx.demodulate(corrected, payload_bits);
   result.payload = std::move(decoded.payload);
   result.symbols = decoded.symbols;

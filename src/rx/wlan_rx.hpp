@@ -1,6 +1,6 @@
 // Complete 802.11a acquisition receiver.
 //
-// The generic rx::Receiver assumes a perfectly aligned burst; this
+// rx::MotherReceiver::demodulate() assumes an aligned burst; this
 // receiver performs the full acquisition chain a real RF front-end
 // needs, making the co-simulation experiments end-to-end realistic:
 //
@@ -10,13 +10,13 @@
 //   4. fine CFO              — LTF 64-sample autocorrelation (±156 kHz)
 //   5. channel estimation    — averaged over both long training symbols
 //   6. per-symbol tracking   — common phase error from the four pilots
-//   7. demap / deinterleave / Viterbi / descramble via the generic chain
+//   7. demap / deinterleave / Viterbi / descramble via rx::MotherReceiver
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "core/params.hpp"
-#include "rx/receiver.hpp"
 
 namespace ofdm::rx {
 

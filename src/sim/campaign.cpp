@@ -68,23 +68,12 @@ struct Driver {
           round->abandoned.store(true, std::memory_order_release);
         } else {
           LinkRunner runner(deck, grid[round->point]);
-          if (opts.use_batch_api) {
-            const std::size_t done = runner.run_trials(
-                round->first_trial + a,
-                std::span<TrialResult>(round->results).subspan(a, b - a),
-                opts.cancel);
-            if (done < b - a) {
-              round->abandoned.store(true, std::memory_order_release);
-            }
-          } else {
-            for (std::size_t i = a; i < b; ++i) {
-              if (stop_requested()) {
-                round->abandoned.store(true, std::memory_order_release);
-                break;
-              }
-              round->results[i] =
-                  runner.run_trial(round->first_trial + i);
-            }
+          const std::size_t done = runner.run_trials(
+              round->first_trial + a,
+              std::span<TrialResult>(round->results).subspan(a, b - a),
+              opts.cancel);
+          if (done < b - a) {
+            round->abandoned.store(true, std::memory_order_release);
           }
         }
         if (round->remaining_tasks.fetch_sub(

@@ -35,10 +35,6 @@ struct RunOptions {
   /// rounds have completed, drain, checkpoint and return with
   /// CampaignResult::halted set. 0 = run to completion.
   std::size_t halt_after_rounds = 0;
-  /// Run trials through LinkRunner::run_trials (burst/chunk buffers
-  /// reused across a batch). Bit-identical curves either way; off is an
-  /// A/B lever for the bench suite.
-  bool use_batch_api = true;
   /// Cooperative stop: polled between trials and at round boundaries.
   /// A stopped run drains like halt_after_rounds (in-flight rounds are
   /// abandoned, the checkpoint stays at the last completed boundary)

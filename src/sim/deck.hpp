@@ -73,7 +73,7 @@ struct ScenarioDeck {
   double pa_smoothness = 2.0;
   double phase_noise_hz = 0.0;  ///< 0 = off
 
-  // Receiver options (rx::Receiver).
+  // Receiver options (rx::MotherReceiver).
   bool rx_equalize = true;
   bool rx_pilot_tracking = false;
   bool rx_soft = false;

@@ -23,7 +23,7 @@ struct LinkRunner::State {
   std::size_t payload_bits = 0;
   cvec channel_taps;  ///< multipath / twisted-pair FIR, empty for AWGN
 
-  // Batch-path scratch: reused across the trials of one run_trials call.
+  // Scratch reused across the trials of run_trials calls.
   core::Transmitter::Burst burst_scratch;
   cvec rx_scratch;
 
@@ -78,12 +78,6 @@ LinkRunner& LinkRunner::operator=(LinkRunner&&) noexcept = default;
 
 std::size_t LinkRunner::payload_bits() const {
   return state_->payload_bits;
-}
-
-TrialResult LinkRunner::run_trial(std::size_t trial_index) {
-  core::Transmitter::Burst burst;
-  cvec rx_samples;
-  return state_->run_one(trial_index, burst, rx_samples);
 }
 
 std::size_t LinkRunner::run_trials(std::size_t first_trial,

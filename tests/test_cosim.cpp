@@ -15,7 +15,7 @@
 #include "rf/channel.hpp"
 #include "rf/frontend.hpp"
 #include "rf/pa.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace ofdm {
 namespace {
@@ -57,7 +57,7 @@ TEST(Cosim, BasebandImpairedChainStillDecodes) {
   chain.add<rf::AwgnChannel>(rf::snr_to_noise_power(sig_power, 30.0), 42);
   const cvec rx_samples = chain.process(burst.samples);
 
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   rx.set_equalizer(rx.estimate_equalizer(rx_samples));
   const auto result = rx.demodulate(rx_samples, payload.size());
   const auto b = metrics::ber(payload, result.payload);
@@ -77,7 +77,7 @@ TEST(Cosim, MultipathWithinCpIsEqualizedAway) {
                                cplx{0.25, -0.15}, cplx{0.1, 0.05}});
   const cvec rx_samples = ch.process(burst.samples);
 
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   rx.set_equalizer(rx.estimate_equalizer(rx_samples));
   const auto result = rx.demodulate(rx_samples, payload.size());
   EXPECT_EQ(metrics::ber(payload, result.payload).errors, 0u);
@@ -91,7 +91,7 @@ TEST(Cosim, EvmDegradesMonotonicallyWithPaDrive) {
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
   const auto burst = tx.modulate(payload);
 
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   const auto clean_tones =
       rx.extract_data_tones(burst.samples, burst.data_symbols);
 
@@ -103,7 +103,7 @@ TEST(Cosim, EvmDegradesMonotonicallyWithPaDrive) {
     chain.add<rf::Gain>(backoff_db);  // renormalize for the demod
     const cvec rx_samples = chain.process(burst.samples);
 
-    rx::Receiver rx2(params);
+    rx::MotherReceiver rx2(params);
     rx2.set_equalizer(rx2.estimate_equalizer(rx_samples));
     const auto tones =
         rx2.extract_data_tones(rx_samples, burst.data_symbols);
@@ -156,7 +156,7 @@ TEST(Cosim, FullPassbandChainRoundTrip) {
   const auto aligned = std::span<const cplx>(rx_samples)
                            .subspan(d, rx_samples.size() - d);
 
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   rx.set_equalizer(rx.estimate_equalizer(aligned));
   const auto result = rx.demodulate(aligned, payload.size());
   EXPECT_EQ(metrics::ber(payload, result.payload).errors, 0u);
@@ -176,7 +176,7 @@ TEST(Cosim, SevereClippingBreaksTheLink) {
   chain.add<rf::SoftClipPa>(0.5);
   const cvec rx_samples = chain.process(burst.samples);
 
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   rx.set_equalizer(rx.estimate_equalizer(rx_samples));
   const auto result = rx.demodulate(rx_samples, payload.size());
   EXPECT_GT(metrics::ber(payload, result.payload).rate(), 0.01);

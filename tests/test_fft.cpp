@@ -1,8 +1,8 @@
 // FFT unit & property tests: every execution path (split-radix,
-// legacy radix-2, Bluestein) against the O(N^2) reference DFT,
-// round-trip identity, Parseval, the real-input / Hermitian-input
-// half-size plan kinds, the process-wide plan cache (including a
-// multi-threaded hammer), and the shift utilities.
+// including the level-free sizes 1/2/4, and Bluestein) against the
+// O(N^2) reference DFT, round-trip identity, Parseval, the real-input /
+// Hermitian-input half-size plan kinds, the process-wide plan cache
+// (including a multi-threaded hammer), and the shift utilities.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,10 +77,11 @@ INSTANTIATE_TEST_SUITE_P(
                                    7, 31, 97, 509));  // primes (Bluestein)
 
 TEST(Fft, PathSelection) {
-  EXPECT_TRUE(Fft(64).is_radix2());
-  EXPECT_TRUE(Fft(8192).is_radix2());
-  EXPECT_FALSE(Fft(1152).is_radix2());
-  EXPECT_FALSE(Fft(448).is_radix2());
+  EXPECT_TRUE(Fft(1).is_pow2());
+  EXPECT_TRUE(Fft(64).is_pow2());
+  EXPECT_TRUE(Fft(8192).is_pow2());
+  EXPECT_FALSE(Fft(1152).is_pow2());
+  EXPECT_FALSE(Fft(448).is_pow2());
 }
 
 TEST(Fft, SingleToneLandsInOneBin) {
@@ -102,14 +103,29 @@ TEST(Fft, SingleToneLandsInOneBin) {
   }
 }
 
+// Sizes 1, 2 and 4 have no combine level: an in-place request stages
+// the gather pass through the plan's scratch buffer and the scale pass
+// writes back, so they are pinned alongside the levelled sizes.
 TEST(Fft, InPlaceEqualsOutOfPlace) {
-  for (std::size_t n : {std::size_t{64}, std::size_t{448}}) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                        std::size_t{8}, std::size_t{64}, std::size_t{448}}) {
     const cvec x = random_signal(n, 9);
     const Fft fft(n);
     const cvec out = fft.forward(x);
     cvec inplace = x;
     fft.forward(inplace, inplace);
-    EXPECT_LT(max_abs_error(out, inplace), 1e-12);
+    EXPECT_LT(max_abs_error(out, inplace), 1e-12) << "forward size " << n;
+
+    cvec inv(n);
+    fft.inverse(x, inv, 0.5);
+    cvec inv_inplace = x;
+    fft.inverse(inv_inplace, inv_inplace, 0.5);
+    EXPECT_LT(max_abs_error(inv, inv_inplace), 1e-12)
+        << "inverse size " << n;
+    cvec ref = reference_dft(x, /*inverse=*/true);
+    for (cplx& v : ref) v *= 0.5;
+    EXPECT_LT(max_abs_error(inv, ref), 1e-12 * static_cast<double>(n))
+        << "inverse scale size " << n;
   }
 }
 
@@ -121,52 +137,6 @@ TEST(Fft, RejectsSizeMismatch) {
 }
 
 TEST(Fft, RejectsSizeZero) { EXPECT_THROW(Fft(0), ConfigError); }
-
-// Restores the process engine choice on scope exit so engine-pinning
-// tests cannot leak into later ones.
-class EngineGuard {
- public:
-  EngineGuard() : saved_(fft_engine()) {}
-  ~EngineGuard() { fft_force_engine(saved_); }
-
- private:
-  FftEngine saved_;
-};
-
-TEST(FftEngineSel, NamesRoundTrip) {
-  EXPECT_STREQ(fft_engine_name(FftEngine::kSplitRadix), "splitradix");
-  EXPECT_STREQ(fft_engine_name(FftEngine::kRadix2), "radix2");
-}
-
-TEST(FftEngineSel, ForceOverridesAndReturns) {
-  EngineGuard guard;
-  EXPECT_EQ(fft_force_engine(FftEngine::kRadix2), FftEngine::kRadix2);
-  EXPECT_EQ(fft_engine(), FftEngine::kRadix2);
-  EXPECT_EQ(fft_force_engine(FftEngine::kSplitRadix),
-            FftEngine::kSplitRadix);
-  EXPECT_EQ(fft_engine(), FftEngine::kSplitRadix);
-}
-
-// The two power-of-two engines implement the same transform: pit them
-// against each other on random signals (forward, inverse, and through
-// the Bluestein inner convolution, whose tables embed the engine).
-TEST(FftEngineSel, EnginesAgreeOnRandomSignals) {
-  EngineGuard guard;
-  for (std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{512},
-                        std::size_t{2048}, std::size_t{448},
-                        std::size_t{97}}) {
-    const cvec x = random_signal(n, 0xE5 + n);
-    fft_force_engine(FftEngine::kSplitRadix);
-    const Fft sr(n);
-    fft_force_engine(FftEngine::kRadix2);
-    const Fft r2(n);
-    EXPECT_LT(max_abs_error(sr.forward(x), r2.forward(x)),
-              1e-9 * static_cast<double>(n))
-        << "forward size " << n;
-    EXPECT_LT(max_abs_error(sr.inverse(x), r2.inverse(x)), 1e-11)
-        << "inverse size " << n;
-  }
-}
 
 // --------------------------------------------------------------------------
 // Half-size plan kinds
@@ -283,16 +253,6 @@ TEST(FftPlanCache, ClearDoesNotInvalidateLivePlans) {
   const cvec after = fft.forward(x);  // tables alive via shared_ptr
   EXPECT_LT(max_abs_error(before, after), 0.0 + 1e-15);
   EXPECT_EQ(fft_plan_cache_stats().entries, 0u);
-}
-
-TEST(FftPlanCache, EnginesGetDistinctEntries) {
-  EngineGuard guard;
-  fft_plan_cache_clear();
-  fft_force_engine(FftEngine::kSplitRadix);
-  const Fft sr(128);
-  fft_force_engine(FftEngine::kRadix2);
-  const Fft r2(128);
-  EXPECT_EQ(fft_plan_cache_stats().entries, 2u);
 }
 
 // The cache is the one piece of process-global mutable state in the

@@ -23,7 +23,6 @@
 #include "common/serial.hpp"
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
-#include "dsp/fft.hpp"
 #include "obs/stream_hash.hpp"
 #include "rf/chain.hpp"
 #include "rf/channel.hpp"
@@ -204,18 +203,6 @@ std::uint64_t channel_graph_hash(const ChannelCombo& combo) {
   return hash.digest();
 }
 
-// The checked-in digests are blessed under the split-radix FFT engine
-// (the process default; see DESIGN.md §16). Under OFDM_FFT=radix2 the
-// waveforms are still deterministic but differ at the bit level (the
-// two engines order floating-point additions differently), so digest
-// comparisons self-skip; invariance oracles (threaded == sequential,
-// snapshot-resume, chunking) still run under either engine.
-#define SKIP_UNLESS_GOLDEN_ENGINE()                                       \
-  if (dsp::fft_engine() != dsp::FftEngine::kSplitRadix)                   \
-  GTEST_SKIP() << "checked-in digests are blessed under the split-radix " \
-                  "FFT engine; active engine is "                         \
-               << dsp::fft_engine_name(dsp::fft_engine())
-
 const GoldenEntry* find_golden(const std::string& name) {
   for (const GoldenEntry& e : kGoldenTraces) {
     if (name == e.standard) return &e;
@@ -226,7 +213,6 @@ const GoldenEntry* find_golden(const std::string& name) {
 class GoldenTraces : public ::testing::TestWithParam<core::Standard> {};
 
 TEST_P(GoldenTraces, SequentialMatchesCheckedInHash) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const std::string name = core::standard_name(GetParam());
   const GoldenEntry* golden = find_golden(name);
   ASSERT_NE(golden, nullptr)
@@ -247,7 +233,6 @@ TEST_P(GoldenTraces, ThreadedPipelineIsBitExact) {
 }
 
 TEST_P(GoldenTraces, GraphRunMatchesCheckedInHash) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const std::string name = core::standard_name(GetParam());
   const GoldenEntry* golden = find_golden(name);
   ASSERT_NE(golden, nullptr)
@@ -262,7 +247,6 @@ TEST_P(GoldenTraces, GraphRunMatchesCheckedInHash) {
 // shallow queue. The last block's probe hashes the graph output stream,
 // which is precisely what golden_graph_hash() folds.
 TEST_P(GoldenTraces, ParallelExecutorMatchesCheckedInGraphHash) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const std::string name = core::standard_name(GetParam());
   const GoldenEntry* golden = find_golden(name);
   ASSERT_NE(golden, nullptr)
@@ -285,7 +269,6 @@ TEST_P(GoldenTraces, ParallelExecutorMatchesCheckedInGraphHash) {
 // built* graph, finish the run there — and require the concatenated
 // stream to hash to the same golden digest as the uninterrupted run.
 TEST_P(GoldenTraces, SnapshotResumeIsBitIdentical) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const std::string name = core::standard_name(GetParam());
   const GoldenEntry* golden = find_golden(name);
   ASSERT_NE(golden, nullptr)
@@ -313,7 +296,6 @@ class GoldenChannelTraces
     : public ::testing::TestWithParam<ChannelCombo> {};
 
 TEST_P(GoldenChannelTraces, GraphRunMatchesCheckedInHash) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const ChannelCombo& combo = GetParam();
   const GoldenEntry* golden = find_golden(combo.name);
   ASSERT_NE(golden, nullptr)
@@ -325,7 +307,6 @@ TEST_P(GoldenChannelTraces, GraphRunMatchesCheckedInHash) {
 }
 
 TEST_P(GoldenChannelTraces, OddChunkingIsBitIdentical) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const ChannelCombo& combo = GetParam();
   const GoldenEntry* golden = find_golden(combo.name);
   ASSERT_NE(golden, nullptr) << combo.name;
@@ -339,7 +320,6 @@ TEST_P(GoldenChannelTraces, OddChunkingIsBitIdentical) {
 }
 
 TEST_P(GoldenChannelTraces, SnapshotMidFadeResumesBitIdentically) {
-  SKIP_UNLESS_GOLDEN_ENGINE();
   const ChannelCombo& combo = GetParam();
   const GoldenEntry* golden = find_golden(combo.name);
   ASSERT_NE(golden, nullptr) << combo.name;
@@ -395,16 +375,6 @@ TEST(GoldenTraces, ProbedChainHashesAreThreadInvariant) {
 /// --regen: rewrite tests/golden_traces.inc in the source tree from the
 /// current waveforms (sequential path).
 int regenerate() {
-  // Refuse to bless digests from a non-default engine: a table written
-  // under OFDM_FFT=radix2 would fail for every ordinary run.
-  if (dsp::fft_engine() != dsp::FftEngine::kSplitRadix) {
-    std::fprintf(stderr,
-                 "--regen refused: active FFT engine is %s, but golden "
-                 "digests must be blessed under the default split-radix "
-                 "engine (unset OFDM_FFT and rerun)\n",
-                 dsp::fft_engine_name(dsp::fft_engine()));
-    return 1;
-  }
   const std::string path =
       std::string(OFDM_SOURCE_DIR) + "/tests/golden_traces.inc";
   std::FILE* f = std::fopen(path.c_str(), "w");

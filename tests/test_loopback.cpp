@@ -7,7 +7,7 @@
 #include "common/rng.hpp"
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace ofdm {
 namespace {
@@ -20,7 +20,7 @@ class FamilyLoopback : public ::testing::TestWithParam<Standard> {};
 TEST_P(FamilyLoopback, NoiselessRoundTripIsLossless) {
   const OfdmParams params = core::profile_for(GetParam());
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 1);
   const std::size_t n_bits =
@@ -58,7 +58,7 @@ class WlanRateLoopback : public ::testing::TestWithParam<core::WlanRate> {};
 TEST_P(WlanRateLoopback, NoiselessRoundTripIsLossless) {
   const OfdmParams params = core::profile_wlan_80211a(GetParam());
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(42);
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
@@ -81,7 +81,7 @@ class DrmModeLoopback : public ::testing::TestWithParam<core::DrmMode> {};
 TEST_P(DrmModeLoopback, NoiselessRoundTripIsLossless) {
   const OfdmParams params = core::profile_drm(GetParam());
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(7);
   const bitvec payload =
@@ -104,7 +104,7 @@ TEST_P(DabModeLoopback, NoiselessRoundTripIsLossless) {
   core::OfdmParams params = core::profile_dab(GetParam());
   params.frame.symbols_per_frame = 8;  // keep runtime modest
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(9);
   const bitvec payload =
@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DabModeLoopback,
 TEST(EqualizedLoopback, FlatChannelGainIsRemoved) {
   const OfdmParams params = core::profile_wlan_80211a(core::WlanRate::k24);
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(3);
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
@@ -143,7 +143,7 @@ TEST(EqualizedLoopback, PhaseReferenceStandardSurvivesFlatGain) {
   core::OfdmParams params = core::profile_dab(core::DabMode::kII);
   params.frame.symbols_per_frame = 6;
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   Rng rng(4);
   const bitvec payload =
@@ -166,8 +166,8 @@ namespace {
 TEST(SoftDecoding, NoiselessLoopbackStaysLossless) {
   const auto params = core::profile_wlan_80211a(core::WlanRate::k36);
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
-  rx.enable_soft_decoding(true);
+  rx::MotherReceiver rx(params);
+  rx.set_demap(mapping::DemapMode::kSoft);
   Rng rng(55);
   const bitvec payload = rng.bits(tx.recommended_payload_bits());
   const auto burst = tx.modulate(payload);
@@ -180,8 +180,8 @@ TEST(SoftDecoding, PuncturedRatesAlsoRoundTrip) {
        {core::WlanRate::k9, core::WlanRate::k48, core::WlanRate::k54}) {
     const auto params = core::profile_wlan_80211a(rate);
     core::Transmitter tx(params);
-    rx::Receiver rx(params);
-    rx.enable_soft_decoding(true);
+    rx::MotherReceiver rx(params);
+    rx.set_demap(mapping::DemapMode::kSoft);
     Rng rng(56);
     const bitvec payload = rng.bits(tx.recommended_payload_bits());
     const auto burst = tx.modulate(payload);
@@ -195,8 +195,8 @@ TEST(SoftDecoding, SilentlyKeepsHardPathWhereNotApplicable) {
   // change behaviour.
   const auto params = core::profile_adsl();
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
-  rx.enable_soft_decoding(true);
+  rx::MotherReceiver rx(params);
+  rx.set_demap(mapping::DemapMode::kSoft);
   Rng rng(57);
   const bitvec payload =
       rng.bits(std::min<std::size_t>(tx.recommended_payload_bits(), 3000));

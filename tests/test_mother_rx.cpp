@@ -1,9 +1,8 @@
 // RX Mother Model tests: one parameter-driven receiver family covering
 // all ten standards. Coded and uncoded (pre-FEC) loopbacks per
 // standard, the +fec reference-FEC overlay, timing acquisition, the
-// soft-vs-hard decoding ordering on AWGN, per-standard receiver
-// descriptors, and exact equivalence of the rx::Receiver compatibility
-// wrapper.
+// soft-vs-hard decoding ordering on AWGN, and per-standard receiver
+// descriptors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include "rf/channel.hpp"
 #include "rx/mother/descriptor.hpp"
 #include "rx/mother/mother_rx.hpp"
-#include "rx/receiver.hpp"
 
 namespace ofdm {
 namespace {
@@ -243,39 +241,6 @@ TEST(MotherRxSoft, SoftDecodingNoWorseThanHardOnAwgn) {
   // ...and soft decisions must not lose to hard ones in aggregate.
   EXPECT_LE(soft_errors, hard_errors);
 }
-
-// ---------------------------------------------------------------------
-// rx::Receiver stays a faithful wrapper of the mother model.
-
-class WrapperEquivalence : public ::testing::TestWithParam<Standard> {};
-
-TEST_P(WrapperEquivalence, WrapperMatchesMotherReceiver) {
-  const OfdmParams params = core::profile_for(GetParam());
-  core::Transmitter tx(params);
-  rx::Receiver wrapper(params);
-  rx::MotherReceiver mother(params);
-
-  Rng rng(static_cast<std::uint64_t>(GetParam()) + 707);
-  const bitvec payload = rng.bits(
-      std::min<std::size_t>(tx.recommended_payload_bits(), 4096));
-  const auto burst = tx.modulate(payload);
-
-  const auto a = wrapper.demodulate(burst.samples, payload.size());
-  const auto b = mother.demodulate(burst.samples, payload.size());
-  EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.symbols, b.symbols);
-  EXPECT_EQ(a.rs_blocks_failed, b.rs_blocks_failed);
-  EXPECT_EQ(wrapper.payload_offset(), mother.payload_offset());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SomeStandards, WrapperEquivalence,
-    ::testing::Values(Standard::kWlan80211a, Standard::kDrm,
-                      Standard::kAdsl, Standard::kDvbT,
-                      Standard::kHomePlug),
-    [](const ::testing::TestParamInfo<Standard>& info) {
-      return safe_name(core::standard_name(info.param));
-    });
 
 // ---------------------------------------------------------------------
 // Mode token plumbing.

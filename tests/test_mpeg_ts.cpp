@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace ofdm::coding {
 namespace {
@@ -92,7 +92,7 @@ TEST(DvbChain, TransportStreamSurvivesTheFullPhy) {
   core::OfdmParams params = core::profile_dvbt(
       core::DvbtMode::k2k, mapping::Scheme::kQam16);
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
   const auto burst = tx.modulate(phy_bits);
   const auto result = rx.demodulate(burst.samples, phy_bits.size());
   ASSERT_EQ(result.payload, phy_bits);

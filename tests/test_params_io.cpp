@@ -10,7 +10,6 @@
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
 #include "random_params.hpp"
-#include "rx/receiver.hpp"
 
 namespace ofdm::core {
 namespace {

@@ -28,7 +28,7 @@
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"
 #include "rf/submodel.hpp"
-#include "rx/receiver.hpp"
+#include "rx/mother/mother_rx.hpp"
 
 namespace ofdm {
 namespace {
@@ -44,7 +44,7 @@ TEST_P(RandomConfig, ValidatesAndRoundTrips) {
   ASSERT_NO_THROW(core::validate(params)) << core::summarize(params);
 
   core::Transmitter tx(params);
-  rx::Receiver rx(params);
+  rx::MotherReceiver rx(params);
 
   // recommended == 0 is legal (an RS block can exceed the configured
   // frame); modulate() then stretches the frame to fit.

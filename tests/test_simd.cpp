@@ -290,53 +290,45 @@ TEST_F(SimdTest, ConstellationSoftDemapBitIdenticalAcrossTiers) {
 }
 
 TEST_F(SimdTest, FftBitIdenticalAcrossTiers) {
-  // Power-of-two sizes (incl. the half-size real-input / Hermitian
-  // plan kinds) and Bluestein sizes (DRM's 1152/448 — pointwise
-  // products go through cvec_mul), under both butterfly engines.
+  // Power-of-two sizes (incl. the level-free 2/4 and the half-size
+  // real-input / Hermitian plan kinds) and Bluestein sizes (DRM's
+  // 1152/448 — pointwise products go through cvec_mul).
   const std::size_t sizes[] = {2, 4, 8, 64, 256, 512, 1024, 448, 1152};
-  for (const auto engine :
-       {dsp::FftEngine::kSplitRadix, dsp::FftEngine::kRadix2}) {
-    const dsp::FftEngine saved = dsp::fft_engine();
-    dsp::fft_force_engine(engine);
-    for (std::size_t n : sizes) {
-      const cvec in = random_cvec(n, 800 + n);
+  for (std::size_t n : sizes) {
+    const cvec in = random_cvec(n, 800 + n);
 
-      auto run = [&](simd::Tier tier) {
-        return under_tier(tier, [&] {
-          dsp::Fft fft(n);
-          cvec fwd(n), inv(n);
-          fft.forward(in, fwd);
-          fft.inverse(in, inv, 0.5);
-          cvec herm, realf;
-          if (n % 2 == 0) {
-            // Hermitian spectrum: X[n-k] = conj(X[k]), real DC/Nyquist.
-            cvec spec(n);
-            spec[0] = {in[0].real(), 0.0};
-            spec[n / 2] = {in[n / 2].real(), 0.0};
-            for (std::size_t k = 1; k < n / 2; ++k) {
-              spec[k] = in[k];
-              spec[n - k] = std::conj(in[k]);
-            }
-            herm.resize(n);
-            fft.inverse_hermitian(spec, herm, 2.0);
-            realf.resize(n);
-            fft.forward_real(herm, realf);
+    auto run = [&](simd::Tier tier) {
+      return under_tier(tier, [&] {
+        dsp::Fft fft(n);
+        cvec fwd(n), inv(n);
+        fft.forward(in, fwd);
+        fft.inverse(in, inv, 0.5);
+        cvec herm, realf;
+        if (n % 2 == 0) {
+          // Hermitian spectrum: X[n-k] = conj(X[k]), real DC/Nyquist.
+          cvec spec(n);
+          spec[0] = {in[0].real(), 0.0};
+          spec[n / 2] = {in[n / 2].real(), 0.0};
+          for (std::size_t k = 1; k < n / 2; ++k) {
+            spec[k] = in[k];
+            spec[n - k] = std::conj(in[k]);
           }
-          cvec all = fwd;
-          all.insert(all.end(), inv.begin(), inv.end());
-          all.insert(all.end(), herm.begin(), herm.end());
-          all.insert(all.end(), realf.begin(), realf.end());
-          return all;
-        });
-      };
+          herm.resize(n);
+          fft.inverse_hermitian(spec, herm, 2.0);
+          realf.resize(n);
+          fft.forward_real(herm, realf);
+        }
+        cvec all = fwd;
+        all.insert(all.end(), inv.begin(), inv.end());
+        all.insert(all.end(), herm.begin(), herm.end());
+        all.insert(all.end(), realf.begin(), realf.end());
+        return all;
+      });
+    };
 
-      const cvec scalar = run(simd::Tier::kScalar);
-      const cvec simd_out = run(best_);
-      EXPECT_TRUE(bit_equal(scalar, simd_out))
-          << "fft n=" << n << " engine="
-          << dsp::fft_engine_name(engine);
-    }
-    dsp::fft_force_engine(saved);
+    const cvec scalar = run(simd::Tier::kScalar);
+    const cvec simd_out = run(best_);
+    EXPECT_TRUE(bit_equal(scalar, simd_out)) << "fft n=" << n;
   }
 }
 
