@@ -15,6 +15,8 @@
 # what ASan sees and the plain build may not. test_net adds the network
 # layer: JSON parsing of malformed input, base64 decode, oversized-frame
 # handling, and mid-stream disconnects all chew on external bytes.
+# test_simd runs every kernel tier, the vector IQ codec included, at
+# odd sizes, so ASan sees each tier's loads and stores at buffer ends.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,7 +28,7 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build}" -j \
   --target test_guard test_fault test_snapshot test_rf test_channels \
-  test_state_fuzz test_net
+  test_state_fuzz test_net test_simd
 ctest --test-dir "${build}" \
-  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net)$' \
+  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_simd)$' \
   --output-on-failure "$@"

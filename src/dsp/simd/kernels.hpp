@@ -1,11 +1,12 @@
 // The vectorized kernel table behind the runtime-dispatch layer.
 //
-// Every entry is a hot inner loop from the scalar datapath, restated as
-// a free function over raw pointers so a tier (scalar / SSE2 / AVX2)
-// can supply its own implementation. The contract for every
-// non-scalar tier is *bit-reproducibility on finite inputs*: a kernel
-// may reorder independent element lanes but must perform, per element,
-// exactly the scalar sequence of IEEE-754 operations (no FMA fusion, no
+// Every entry is a hot inner loop from the scalar datapath or the
+// daemon's IQ wire codec, restated as a free function over raw
+// pointers so a tier (scalar / SSE2 / AVX2) can supply its own
+// implementation. The contract for every non-scalar tier is
+// *bit-reproducibility on finite inputs*: a kernel may reorder
+// independent element lanes but must perform, per element, exactly the
+// scalar sequence of IEEE-754 operations (no FMA fusion, no
 // reassociated reductions). Reductions therefore vectorize across
 // *outputs* (each lane accumulates its own output in scalar order),
 // never across the reduction axis.
@@ -133,6 +134,21 @@ struct Kernels {
                       const std::uint32_t* branch, const double* bm,
                       std::size_t n_bm, std::size_t steps,
                       std::uint64_t* dec);
+
+  /// IQ wire pack (RFC 4648 base64, the `data` of an `iq` event): `n`
+  /// samples, n a multiple of 3, as the digits of their interleaved
+  /// little-endian float32 (re,im) bytes, each component narrowed by
+  /// static_cast<float>. Three samples are 24 bytes, exactly 32 digits
+  /// and no padding. Reads exactly x[0..n), writes exactly
+  /// out[0..n/3*32).
+  void (*iq_pack)(const cplx* x, std::size_t n, char* out);
+
+  /// IQ wire unpack, the inverse: `n_chars` digits, a multiple of 32, to
+  /// n_chars/32*3 samples, each float32 widened by static_cast<double>.
+  /// Returns true if any byte is outside the alphabet ('=' included);
+  /// `out` is then written with meaningless values. Reads exactly
+  /// in[0..n_chars), writes exactly out[0..n_chars/32*3).
+  bool (*iq_unpack)(const char* in, std::size_t n_chars, cplx* out);
 };
 
 /// The scalar reference table (always available, every platform).

@@ -393,6 +393,106 @@ void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
   }
 }
 
+// --- IQ wire codec (Muła & Lemire, arXiv:1704.00605) --------------------
+// One 32-digit block is 24 bytes, six float32, three samples. Each
+// 128-bit lane carries 12 of the bytes: lane 0 bytes 0..11, lane 1
+// bytes 12..23. Narrowing and widening use vcvtpd2ps / vcvtps2pd, which
+// round (and quiet NaNs) exactly as the scalar static_casts do.
+
+/// Per lane, 12 bytes at lane offsets 0..11 to their 16 base64 digits.
+inline __m256i b64_encode_block(__m256i in) {
+  // Group (s0,s1,s2) -> dword bytes [s1,s0,s2,s1]: low word s0:s1, high
+  // word s1:s2, so one mulhi and one mullo place the four 6-bit fields.
+  in = _mm256_shuffle_epi8(
+      in, _mm256_setr_epi8(1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9, 11,
+                           10, 1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9,
+                           11, 10));
+  const __m256i ac = _mm256_mulhi_epu16(
+      _mm256_and_si256(in, _mm256_set1_epi32(0x0fc0fc00)),
+      _mm256_set1_epi32(0x04000040));
+  const __m256i bd = _mm256_mullo_epi16(
+      _mm256_and_si256(in, _mm256_set1_epi32(0x003f03f0)),
+      _mm256_set1_epi32(0x01000010));
+  const __m256i idx = _mm256_or_si256(ac, bd);  // one 6-bit value a byte
+  // Range of each value -> offset to its ASCII digit: 0..25 -> 13 ('A'),
+  // 26..51 -> 0 ('a'-26), 52..61 -> 1..10 ('0'-52), 62 -> 11, 63 -> 12.
+  __m256i sel = _mm256_subs_epu8(idx, _mm256_set1_epi8(51));
+  const __m256i upper = _mm256_cmpgt_epi8(_mm256_set1_epi8(26), idx);
+  sel = _mm256_or_si256(sel, _mm256_and_si256(upper, _mm256_set1_epi8(13)));
+  const __m256i offset = _mm256_setr_epi8(
+      'a' - 26, '0' - 52, '0' - 52, '0' - 52, '0' - 52, '0' - 52, '0' - 52,
+      '0' - 52, '0' - 52, '0' - 52, '0' - 52, '+' - 62, '/' - 63, 'A', 0, 0,
+      'a' - 26, '0' - 52, '0' - 52, '0' - 52, '0' - 52, '0' - 52, '0' - 52,
+      '0' - 52, '0' - 52, '0' - 52, '0' - 52, '+' - 62, '/' - 63, 'A', 0, 0);
+  return _mm256_add_epi8(idx, _mm256_shuffle_epi8(offset, sel));
+}
+
+void iq_pack(const cplx* x, std::size_t n, char* out) {
+  for (std::size_t s = 0; s < n; s += 3, x += 3, out += 32) {
+    const __m128i f0123 = _mm_castps_si128(
+        _mm256_cvtpd_ps(_mm256_loadu_pd(reinterpret_cast<const double*>(x))));
+    const __m128i f45 = _mm_castps_si128(
+        _mm_cvtpd_ps(_mm_loadu_pd(reinterpret_cast<const double*>(x + 2))));
+    const __m128i f345 = _mm_alignr_epi8(f45, f0123, 12);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out),
+        b64_encode_block(_mm256_inserti128_si256(
+            _mm256_castsi128_si256(f0123), f345, 1)));
+  }
+}
+
+bool iq_unpack(const char* in, std::size_t n_chars, cplx* out) {
+  // Nibble classes: a byte is a digit iff lut_lo[low] & lut_hi[high] is
+  // 0; every other byte ('=', controls, >= 0x80) hits a shared bit.
+  const __m256i lut_lo = _mm256_setr_epi8(
+      0x15, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x13,
+      0x1A, 0x1B, 0x1B, 0x1B, 0x1A, 0x15, 0x11, 0x11, 0x11, 0x11, 0x11,
+      0x11, 0x11, 0x11, 0x11, 0x13, 0x1A, 0x1B, 0x1B, 0x1B, 0x1A);
+  const __m256i lut_hi = _mm256_setr_epi8(
+      0x10, 0x10, 0x01, 0x02, 0x04, 0x08, 0x04, 0x08, 0x10, 0x10, 0x10,
+      0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x01, 0x02, 0x04, 0x08,
+      0x04, 0x08, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10);
+  // Digit value = byte + roll[high nibble], '/' moved to its own slot.
+  const __m256i lut_roll = _mm256_setr_epi8(
+      0, 16, 19, 4, -65, -65, -71, -71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 19,
+      4, -65, -65, -71, -71, 0, 0, 0, 0, 0, 0, 0, 0);
+  const __m256i mask_2f = _mm256_set1_epi8(0x2f);
+  __m256i bad = _mm256_setzero_si256();
+  for (std::size_t c = 0; c < n_chars; c += 32, in += 32, out += 3) {
+    const __m256i str =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in));
+    // Bit 7 is cleared so vpshufb never zeroes; bit 5 rides along and
+    // vpshufb ignores it.
+    const __m256i hi_nib =
+        _mm256_and_si256(_mm256_srli_epi32(str, 4), mask_2f);
+    const __m256i lo_nib = _mm256_and_si256(str, mask_2f);
+    bad = _mm256_or_si256(
+        bad, _mm256_and_si256(_mm256_shuffle_epi8(lut_lo, lo_nib),
+                              _mm256_shuffle_epi8(lut_hi, hi_nib)));
+    const __m256i eq_2f = _mm256_cmpeq_epi8(str, mask_2f);
+    const __m256i val = _mm256_add_epi8(
+        str, _mm256_shuffle_epi8(lut_roll, _mm256_add_epi8(eq_2f, hi_nib)));
+    // 4 x 6 bits -> 3 bytes per dword, then 12 bytes per lane, then the
+    // 24 bytes to the low end of the register.
+    const __m256i ab_cd =
+        _mm256_maddubs_epi16(val, _mm256_set1_epi32(0x01400140));
+    const __m256i abcd =
+        _mm256_madd_epi16(ab_cd, _mm256_set1_epi32(0x00011000));
+    const __m256i packed = _mm256_permutevar8x32_epi32(
+        _mm256_shuffle_epi8(
+            abcd, _mm256_setr_epi8(2, 1, 0, 6, 5, 4, 10, 9, 8, 14, 13, 12,
+                                   -1, -1, -1, -1, 2, 1, 0, 6, 5, 4, 10, 9,
+                                   8, 14, 13, 12, -1, -1, -1, -1)),
+        _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 7, 7));
+    auto* d = reinterpret_cast<double*>(out);
+    _mm256_storeu_pd(
+        d, _mm256_cvtps_pd(_mm_castsi128_ps(_mm256_castsi256_si128(packed))));
+    _mm_storeu_pd(d + 4, _mm_cvtps_pd(_mm_castsi128_ps(
+                             _mm256_extracti128_si256(packed, 1))));
+  }
+  return !_mm256_testz_si256(bad, bad);
+}
+
 }  // namespace avx2
 
 const Kernels& avx2_kernels() {
@@ -411,6 +511,8 @@ const Kernels& avx2_kernels() {
       avx2::demap_soft,
       // A 4-lane ACS ran no faster end to end than the 2-lane one.
       sse2_kernels().viterbi_acs,
+      avx2::iq_pack,
+      avx2::iq_unpack,
   };
   return table;
 }

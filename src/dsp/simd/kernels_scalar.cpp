@@ -7,8 +7,10 @@
 // std::complex<double> operator* computes (the Annex-G __muldc3
 // recovery path only triggers on NaN results), so the datapath's bits
 // do not move when a call site switches from operator* to a kernel.
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -227,6 +229,107 @@ void viterbi_acs(double* metric, std::size_t states,
   }
 }
 
+// --- IQ wire codec ------------------------------------------------------
+// A block is three samples: six float32, 24 bytes, eight base64 groups.
+// The bytes live in three big-endian 64-bit words (the wire order), so a
+// group is a shift and a mask, and no byte array is stored and then
+// reloaded at another width.
+
+constexpr char kB64[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// kB64Pairs.c[v]: the two digits of the 12-bit value v, so a group is
+/// two 2-byte copies.
+struct B64Pairs {
+  char c[4096][2];
+  constexpr B64Pairs() : c() {
+    for (int v = 0; v < 4096; ++v) {
+      c[v][0] = kB64[v >> 6];
+      c[v][1] = kB64[v & 63];
+    }
+  }
+};
+constexpr B64Pairs kB64Pairs;
+
+/// kB64Digit.v[j][c]: the value of byte c as the j-th digit of a group,
+/// already shifted into place (18 - 6j). A byte outside the alphabet
+/// ('=' included) reads as bit 24, so one OR over a block's groups flags
+/// the block.
+struct B64Digit {
+  std::uint32_t v[4][256];
+  constexpr B64Digit() : v() {
+    for (int j = 0; j < 4; ++j) {
+      for (int c = 0; c < 256; ++c) v[j][c] = 1u << 24;
+      for (int d = 0; d < 64; ++d) {
+        v[j][static_cast<unsigned char>(kB64[d])] =
+            static_cast<std::uint32_t>(d) << (18 - 6 * j);
+      }
+    }
+  }
+};
+constexpr B64Digit kB64Digit;
+
+/// Two floats as the big-endian word of their little-endian bytes.
+inline std::uint64_t wire_word(double re, double im) {
+  const auto le = [](double v) {
+    return static_cast<std::uint64_t>(__builtin_bswap32(
+        std::bit_cast<std::uint32_t>(static_cast<float>(v))));
+  };
+  return (le(re) << 32) | le(im);
+}
+
+inline cplx wire_sample(std::uint64_t be) {
+  const auto f = [](std::uint64_t w) {
+    return static_cast<double>(std::bit_cast<float>(
+        __builtin_bswap32(static_cast<std::uint32_t>(w))));
+  };
+  return {f(be >> 32), f(be)};
+}
+
+inline void put_group(std::uint64_t v, char* out) {
+  std::memcpy(out, kB64Pairs.c[v >> 12], 2);
+  std::memcpy(out + 2, kB64Pairs.c[v & 0xFFF], 2);
+}
+
+void iq_pack(const cplx* x, std::size_t n, char* out) {
+  constexpr std::uint64_t m = 0xFFFFFF;
+  for (std::size_t s = 0; s < n; s += 3, x += 3, out += 32) {
+    const std::uint64_t w0 = wire_word(x[0].real(), x[0].imag());
+    const std::uint64_t w1 = wire_word(x[1].real(), x[1].imag());
+    const std::uint64_t w2 = wire_word(x[2].real(), x[2].imag());
+    put_group(w0 >> 40, out);
+    put_group((w0 >> 16) & m, out + 4);
+    put_group(((w0 << 8) | (w1 >> 56)) & m, out + 8);
+    put_group((w1 >> 32) & m, out + 12);
+    put_group((w1 >> 8) & m, out + 16);
+    put_group(((w1 << 16) | (w2 >> 48)) & m, out + 20);
+    put_group((w2 >> 24) & m, out + 24);
+    put_group(w2 & m, out + 28);
+  }
+}
+
+bool iq_unpack(const char* in, std::size_t n_chars, cplx* out) {
+  const auto* s = reinterpret_cast<const unsigned char*>(in);
+  std::uint32_t invalid = 0;
+  const auto group = [&](const unsigned char* g) -> std::uint64_t {
+    const std::uint32_t v = kB64Digit.v[0][g[0]] | kB64Digit.v[1][g[1]] |
+                            kB64Digit.v[2][g[2]] | kB64Digit.v[3][g[3]];
+    invalid |= v;
+    return v;
+  };
+  for (std::size_t c = 0; c < n_chars; c += 32, s += 32, out += 3) {
+    const std::uint64_t v0 = group(s), v1 = group(s + 4);
+    const std::uint64_t v2 = group(s + 8);
+    out[0] = wire_sample((v0 << 40) | (v1 << 16) | (v2 >> 8));
+    const std::uint64_t v3 = group(s + 12), v4 = group(s + 16);
+    const std::uint64_t v5 = group(s + 20);
+    out[1] = wire_sample((v2 << 56) | (v3 << 32) | (v4 << 8) | (v5 >> 16));
+    const std::uint64_t v6 = group(s + 24), v7 = group(s + 28);
+    out[2] = wire_sample((v5 << 48) | (v6 << 24) | v7);
+  }
+  return (invalid >> 24) != 0;
+}
+
 }  // namespace scalar
 
 const Kernels& scalar_kernels() {
@@ -244,6 +347,8 @@ const Kernels& scalar_kernels() {
       scalar::map_lut,
       scalar::demap_soft,
       scalar::viterbi_acs,
+      scalar::iq_pack,
+      scalar::iq_unpack,
   };
   return table;
 }

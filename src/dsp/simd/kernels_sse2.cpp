@@ -380,6 +380,10 @@ const Kernels& sse2_kernels() {
       scalar_kernels().map_lut,
       sse2::demap_soft,
       sse2::viterbi_acs,
+      // No 128-bit IQ codec: the scalar one serves until an SSE2
+      // version wins end to end.
+      scalar_kernels().iq_pack,
+      scalar_kernels().iq_unpack,
   };
   return table;
 }

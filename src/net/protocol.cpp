@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstring>
+
+#include "dsp/simd/dispatch.hpp"
 
 namespace ofdm::net {
 
@@ -24,50 +25,12 @@ struct Reverse {
 };
 constexpr Reverse kReverse;
 
-// kPairs.c[v]: the two base64 digits of the 12-bit value v, so a 3-byte
-// group is two lookups.
-struct Pairs {
-  char c[4096][2];
-  constexpr Pairs() : c() {
-    for (int v = 0; v < 4096; ++v) {
-      c[v][0] = kAlphabet[v >> 6];
-      c[v][1] = kAlphabet[v & 63];
-    }
-  }
-};
-constexpr Pairs kPairs;
-
 constexpr std::size_t kIqBytes = 2 * sizeof(float);  // one (re,im) pair
-/// Samples staged per block on both IQ paths: a multiple of 3, so a
-/// whole block is whole base64 groups and only the last block pads.
-constexpr std::size_t kIqBlock = 192;
-constexpr std::size_t kIqBlockChars = kIqBlock * kIqBytes / 3 * 4;
+/// The IQ kernels' unit: 3 samples = 24 bytes = 32 digits, no padding.
+constexpr std::size_t kIqBlock = 3;
+constexpr std::size_t kIqBlockChars = 32;
 
 std::size_t encoded_size(std::size_t bytes) { return (bytes + 2) / 3 * 4; }
-
-/// Encode n bytes to dst, padding the final group; returns the end.
-char* encode(const std::uint8_t* src, std::size_t n, char* dst) {
-  std::size_t i = 0;
-  for (; i + 3 <= n; i += 3, dst += 4) {
-    const std::uint32_t v = (static_cast<std::uint32_t>(src[i]) << 16) |
-                            (static_cast<std::uint32_t>(src[i + 1]) << 8) |
-                            src[i + 2];
-    std::memcpy(dst, kPairs.c[v >> 12], 2);
-    std::memcpy(dst + 2, kPairs.c[v & 0xFFF], 2);
-  }
-  const std::size_t rem = n - i;
-  if (rem != 0) {
-    const std::uint32_t v =
-        (static_cast<std::uint32_t>(src[i]) << 16) |
-        (rem == 2 ? static_cast<std::uint32_t>(src[i + 1]) << 8 : 0u);
-    dst[0] = kAlphabet[v >> 18];
-    dst[1] = kAlphabet[(v >> 12) & 63];
-    dst[2] = rem == 2 ? kAlphabet[(v >> 6) & 63] : '=';
-    dst[3] = '=';
-    dst += 4;
-  }
-  return dst;
-}
 
 void check_length(std::string_view text) {
   if (text.size() % 4 != 0) {
@@ -76,32 +39,16 @@ void check_length(std::string_view text) {
   }
 }
 
-/// Decode `text` (a multiple of 4 chars) to dst and return the end.
-/// '=' is legal only as padding of the payload's last group ("xx==" or
-/// "xxx="), which is the last group of the `final` slice.
-std::uint8_t* decode(std::string_view text, bool final, std::uint8_t* dst) {
-  const auto* s = reinterpret_cast<const unsigned char*>(text.data());
-  const std::size_t groups = text.size() / 4;
-  // Digits are < 64 and every other byte, '=' included, maps to 0xFF,
-  // so one OR over all digits flags the whole text.
-  std::uint32_t invalid = 0;
-  for (std::size_t g = 0; g < groups; ++g, s += 4) {
-    const bool pad3 = final && g + 1 == groups && s[3] == '=';
-    const bool pad2 = pad3 && s[2] == '=';
-    const std::uint32_t a = kReverse.v[s[0]], b = kReverse.v[s[1]];
-    const std::uint32_t c = pad2 ? 0 : kReverse.v[s[2]];
-    const std::uint32_t d = pad3 ? 0 : kReverse.v[s[3]];
-    invalid |= a | b | c | d;
-    const std::uint32_t v = (a << 18) | (b << 12) | (c << 6) | d;
-    dst[0] = static_cast<std::uint8_t>(v >> 16);
-    dst[1] = static_cast<std::uint8_t>(v >> 8);
-    dst[2] = static_cast<std::uint8_t>(v);
-    dst += 3 - pad2 - pad3;
-  }
-  if (invalid > 63) {
-    throw NetError("base64: byte outside the alphabet or misplaced '='");
-  }
-  return dst;
+/// '=' digits ending the final group ("xxx=" 1, "xx==" 2). They stand
+/// for zero bits; any other '=' is refused as a non-alphabet byte.
+std::size_t padding(std::string_view text) {
+  const std::size_t n = text.size();
+  if (n == 0 || text[n - 1] != '=') return 0;
+  return text[n - 2] == '=' ? 2 : 1;
+}
+
+[[noreturn]] void refuse_alphabet() {
+  throw NetError("base64: byte outside the alphabet or misplaced '='");
 }
 
 void append_uint(std::string& out, std::size_t v) {
@@ -113,70 +60,95 @@ void append_uint(std::string& out, std::size_t v) {
 }  // namespace
 
 std::string base64_encode(std::span<const std::uint8_t> bytes) {
-  std::string out(encoded_size(bytes.size()), '\0');
-  encode(bytes.data(), bytes.size(), out.data());
+  // Digits a partial final group does not reach stay '='.
+  std::string out(encoded_size(bytes.size()), '=');
+  for (std::size_t i = 0, o = 0; i < bytes.size(); i += 3, o += 4) {
+    const std::size_t k = std::min<std::size_t>(3, bytes.size() - i);
+    std::uint32_t v = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      v |= std::uint32_t{bytes[i + j]} << (16 - 8 * j);
+    }
+    for (std::size_t j = 0; j <= k; ++j) {
+      out[o + j] = kAlphabet[(v >> (18 - 6 * j)) & 63];
+    }
+  }
   return out;
 }
 
 std::vector<std::uint8_t> base64_decode(std::string_view text) {
   check_length(text);
+  const std::size_t pad = padding(text);
   std::vector<std::uint8_t> out(text.size() / 4 * 3);
-  const std::uint8_t* end = decode(text, /*final=*/true, out.data());
-  out.resize(static_cast<std::size_t>(end - out.data()));
+  // Digits are < 64 and every other byte maps to 0xFF, so one OR over
+  // all digits flags the whole text; padding digits read as zero.
+  std::uint32_t invalid = 0;
+  for (std::size_t i = 0, o = 0; i < text.size(); i += 4, o += 3) {
+    std::uint32_t v = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const std::uint32_t d =
+          i + j + pad >= text.size()
+              ? 0
+              : kReverse.v[static_cast<unsigned char>(text[i + j])];
+      invalid |= d;
+      v = (v << 6) | d;
+    }
+    out[o] = static_cast<std::uint8_t>(v >> 16);
+    out[o + 1] = static_cast<std::uint8_t>(v >> 8);
+    out[o + 2] = static_cast<std::uint8_t>(v);
+  }
+  if (invalid > 63) refuse_alphabet();
+  out.resize(out.size() - pad);
   return out;
 }
 
 void pack_iq_f32(std::string& out, std::span<const cplx> samples) {
+  const simd::Kernels& k = simd::kernels();
+  const std::size_t body = samples.size() / kIqBlock * kIqBlock;
   const std::size_t at = out.size();
   out.resize(at + encoded_size(samples.size() * kIqBytes));
   char* dst = out.data() + at;
-  std::uint8_t raw[kIqBlock * kIqBytes];
-  for (std::size_t off = 0; off < samples.size(); off += kIqBlock) {
-    const std::size_t n = std::min(kIqBlock, samples.size() - off);
-    std::uint8_t* p = raw;
-    for (const cplx& x : samples.subspan(off, n)) {
-      const float re = static_cast<float>(x.real());
-      const float im = static_cast<float>(x.imag());
-      std::memcpy(p, &re, sizeof re);
-      std::memcpy(p + sizeof re, &im, sizeof im);
-      p += kIqBytes;
-    }
-    dst = encode(raw, n * kIqBytes, dst);
+  k.iq_pack(samples.data(), body, dst);
+  // The last 1 or 2 samples are zero-filled to one block (+0.0f is all
+  // zero bytes, the bits base64 pads with) and cut to 12 digits ending
+  // "=" or 24 ending "==".
+  if (const std::size_t rem = samples.size() - body; rem != 0) {
+    cplx tail[kIqBlock] = {};
+    std::copy(samples.begin() + body, samples.end(), tail);
+    char digits[kIqBlockChars];
+    k.iq_pack(tail, kIqBlock, digits);
+    const std::size_t n = rem == 1 ? 12 : 24;
+    dst += body / kIqBlock * kIqBlockChars;
+    std::copy(digits, digits + n - rem, dst);
+    std::fill(dst + n - rem, dst + n, '=');
   }
 }
 
 void unpack_iq_f32(std::string_view base64, cvec& out) {
   check_length(base64);
-  // Size for the unpadded length; the final group's padding is only
-  // known once decode() has read it, so `out` is shrunk at the end.
+  if (base64.empty()) return;
+  // The kernel takes whole blocks; the last 4..32 digits are staged
+  // into one block filled up with 'A' (zero bits), padding included.
+  const std::size_t tail = (base64.size() - 1) % kIqBlockChars + 1;
+  const std::size_t body = base64.size() - tail;
+  const std::size_t pad = padding(base64);
+  char staged[kIqBlockChars];
+  std::fill(std::copy(base64.end() - tail, base64.end() - pad, staged),
+            staged + kIqBlockChars, 'A');
+  const std::size_t bytes = base64.size() / 4 * 3 - pad;
+  const simd::Kernels& k = simd::kernels();
   const std::size_t at = out.size();
-  out.resize(at + base64.size() / 4 * 3 / kIqBytes);
-  cplx* x = out.data() + at;
-  std::uint8_t raw[kIqBlock * kIqBytes];
-  try {
-    for (std::size_t off = 0; off < base64.size(); off += kIqBlockChars) {
-      const std::string_view part = base64.substr(off, kIqBlockChars);
-      const std::uint8_t* end =
-          decode(part, off + part.size() == base64.size(), raw);
-      // Only the last slice can end mid-pair: the others are whole blocks.
-      const std::size_t bytes = static_cast<std::size_t>(end - raw);
-      if (bytes % kIqBytes != 0) {
-        throw NetError("iq payload: " + std::to_string(off / 4 * 3 + bytes) +
-                       " bytes is not a whole number of float32 (re,im) "
-                       "pairs");
-      }
-      for (const std::uint8_t* p = raw; p < end; p += kIqBytes) {
-        float re, im;
-        std::memcpy(&re, p, sizeof re);
-        std::memcpy(&im, p + sizeof re, sizeof im);
-        *x++ = {re, im};
-      }
-    }
-  } catch (const NetError&) {
+  const std::size_t whole = body / kIqBlockChars * kIqBlock;
+  out.resize(at + whole + kIqBlock);
+  const bool invalid =
+      k.iq_unpack(base64.data(), body, out.data() + at) |
+      k.iq_unpack(staged, kIqBlockChars, out.data() + at + whole);
+  if (invalid || bytes % kIqBytes != 0) {
     out.resize(at);  // a refused payload leaves `out` as it was
-    throw;
+    if (invalid) refuse_alphabet();
+    throw NetError("iq payload: " + std::to_string(bytes) +
+                   " bytes is not a whole number of float32 (re,im) pairs");
   }
-  out.resize(static_cast<std::size_t>(x - out.data()));
+  out.resize(at + bytes / kIqBytes);
 }
 
 void append_iq_event(std::string& out, std::size_t burst, std::size_t seq,

@@ -48,13 +48,16 @@ inline constexpr const char* kErrJobFailed = "job_failed";
 inline constexpr const char* kErrShuttingDown = "shutting_down";
 inline constexpr const char* kErrInternal = "internal";
 
-/// Base64 (RFC 4648, with padding). decode throws NetError on any
-/// non-alphabet byte, bad padding, or truncated input.
+/// Base64 (RFC 4648, with padding) of arbitrary bytes, a group at a
+/// time: the reference the IQ codec below is tested against. decode
+/// throws NetError on any non-alphabet byte, bad padding, or truncated
+/// input.
 std::string base64_encode(std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> base64_decode(std::string_view text);
 
 /// Append `samples` as base64 of interleaved little-endian float32
-/// (re,im) pairs.
+/// (re,im) pairs, through the active tier's simd::Kernels::iq_pack; the
+/// digits equal base64_encode of those bytes.
 void pack_iq_f32(std::string& out, std::span<const cplx> samples);
 /// Decode such a payload and append its samples to `out`; throws
 /// NetError on bad base64 or when the payload is not a whole number of

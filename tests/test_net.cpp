@@ -150,9 +150,14 @@ TEST(Base64, IqPackRoundTrip) {
   cvec back(1, cplx{5.0, -5.0});  // unpack appends
   unpack_iq_f32(std::string_view(b64).substr(6), back);
   ASSERT_EQ(back.size(), samples.size() + 1);
+  EXPECT_EQ(back[0], (cplx{5.0, -5.0}));
+  // Exactly the float32-rounded input: the wire contract that streamed
+  // samples are compared against bit for bit.
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_NEAR(back[i + 1].real(), samples[i].real(), 1e-6);
-    EXPECT_NEAR(back[i + 1].imag(), samples[i].imag(), 1e-6);
+    EXPECT_EQ(back[i + 1].real(),
+              static_cast<double>(static_cast<float>(samples[i].real())));
+    EXPECT_EQ(back[i + 1].imag(),
+              static_cast<double>(static_cast<float>(samples[i].imag())));
   }
   // A refused payload appends nothing: a bad length, then a bad byte
   // beyond the first decoded block.

@@ -11,6 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,6 +25,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/simd/dispatch.hpp"
 #include "mapping/constellation.hpp"
+#include "net/protocol.hpp"
 #include "rf/channel.hpp"
 #include "rf/fading.hpp"
 
@@ -329,6 +333,112 @@ TEST_F(SimdTest, FftBitIdenticalAcrossTiers) {
     const cvec scalar = run(simd::Tier::kScalar);
     const cvec simd_out = run(best_);
     EXPECT_TRUE(bit_equal(scalar, simd_out)) << "fft n=" << n;
+  }
+}
+
+TEST_F(SimdTest, IqCodecBitIdenticalAcrossTiers) {
+  // The wire codec behind `iq` events: every tier must write the same
+  // digits and decode the same doubles, both equal to the plain RFC 4648
+  // encoding of the static_cast<float> bytes and its static_cast<double>.
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  for (simd::Tier tier : {simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    if (simd::force_tier(tier) == tier) tiers.push_back(tier);
+  }
+  // Counts straddle the 3-sample / 32-digit kernel block (both padding
+  // shapes) and 192 samples, the staging block of the former codec.
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 70; ++n) counts.push_back(n);
+  for (std::size_t n : {191, 192, 193, 4096}) counts.push_back(n);
+  const double specials[] = {
+      0.0, -0.0, 1e300, -1e300, 1e-300, 1e-40,  // overflow, underflow
+      1.0 + 0x1p-24, 1.0 + 0x1p-24 + 0x1p-52,   // tie, just above tie
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN()};
+  for (std::size_t n : counts) {
+    cvec x = random_cvec(n, 900 + n);
+    for (std::size_t i = 0; i < n; i += 5) {
+      x[i] = {specials[i % std::size(specials)],
+              specials[(i / 5) % std::size(specials)]};
+    }
+    bytevec raw;
+    cvec want;
+    for (const cplx& v : x) {
+      const float f[2] = {static_cast<float>(v.real()),
+                          static_cast<float>(v.imag())};
+      const auto* b = reinterpret_cast<const std::uint8_t*>(f);
+      raw.insert(raw.end(), b, b + sizeof f);
+      want.push_back({f[0], f[1]});
+    }
+    const std::string oracle = net::base64_encode(raw);
+    const std::size_t whole = n / 3 * 3;  // the kernels' share
+    const cvec x_whole(x.begin(), x.begin() + whole);
+    for (simd::Tier tier : tiers) {
+      // Payloads and kernel buffers sit in exactly sized heap blocks, so
+      // ASan sees any access past either end.
+      const auto [digits, back, kernel_digits, kernel_back] =
+          under_tier(tier, [&] {
+            std::string d = "<";
+            net::pack_iq_f32(d, x);
+            const std::vector<char> wire(d.begin() + 1, d.end());
+            cvec b(1, cplx{7.0, -7.0});
+            net::unpack_iq_f32({wire.data(), wire.size()}, b);
+            const simd::Kernels& k = simd::kernels();
+            std::vector<char> kd(whole / 3 * 32);
+            k.iq_pack(x_whole.data(), whole, kd.data());
+            cvec kb(whole);
+            EXPECT_FALSE(k.iq_unpack(kd.data(), kd.size(), kb.data()));
+            return std::make_tuple(d, b, std::string(kd.begin(), kd.end()),
+                                   kb);
+          });
+      const std::string name = simd::tier_name(tier);
+      EXPECT_EQ(digits, "<" + oracle) << name << " pack n=" << n;
+      EXPECT_EQ(kernel_digits, oracle.substr(0, whole / 3 * 32)) << name;
+      ASSERT_EQ(back.size(), n + 1) << name << " unpack n=" << n;
+      EXPECT_TRUE(bit_equal(cvec(back.begin() + 1, back.end()), want))
+          << name << " unpack n=" << n;
+      EXPECT_TRUE(bit_equal(kernel_back,
+                            cvec(want.begin(), want.begin() + whole)))
+          << name << " kernel unpack n=" << n;
+    }
+  }
+
+  // Refusals: one bad byte at every offset of the first 96 digits and
+  // in the final group, unpadded (192), "=" (70) and "==" (71) shaped.
+  const char bad_bytes[] = {'*', '=', '\0', '\x80', '\xff'};
+  for (std::size_t n : {70, 71, 192}) {
+    std::string good;
+    net::pack_iq_f32(good, random_cvec(n, 950 + n));
+    std::vector<std::size_t> offsets;
+    for (std::size_t i = 0; i < 96; ++i) offsets.push_back(i);
+    for (std::size_t i = good.size() - 4; i < good.size(); ++i) {
+      offsets.push_back(i);
+    }
+    for (simd::Tier tier : tiers) {
+      simd::force_tier(tier);
+      for (std::size_t at : offsets) {
+        for (char bad : bad_bytes) {
+          if (good[at] == bad) continue;
+          std::vector<char> corrupt(good.begin(), good.end());
+          corrupt[at] = bad;
+          cvec out(2, cplx{3.0, 4.0});
+          EXPECT_THROW(
+              net::unpack_iq_f32({corrupt.data(), corrupt.size()}, out),
+              net::NetError)
+              << simd::tier_name(tier) << " n=" << n << " offset=" << at
+              << " byte=" << int(static_cast<unsigned char>(bad));
+          EXPECT_TRUE(bit_equal(out, cvec(2, cplx{3.0, 4.0})));
+        }
+      }
+      // A cut length and a payload that is not whole (re,im) pairs.
+      cvec out(1);
+      EXPECT_THROW(net::unpack_iq_f32(good.substr(0, good.size() - 1), out),
+                   net::NetError);
+      EXPECT_THROW(net::unpack_iq_f32(net::base64_encode(bytevec(7)), out),
+                   net::NetError);
+      EXPECT_EQ(out.size(), 1u);
+    }
+    simd::force_tier(best_);
   }
 }
 
