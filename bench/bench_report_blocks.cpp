@@ -28,7 +28,6 @@
 #include "rf/chain.hpp"
 #include "rf/channel.hpp"
 #include "rf/channels/registry.hpp"
-#include "rf/fading.hpp"
 #include "rf/impairments.hpp"
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"

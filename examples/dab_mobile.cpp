@@ -17,7 +17,7 @@
 #include "core/transmitter.hpp"
 #include "metrics/ber.hpp"
 #include "rf/channel.hpp"
-#include "rf/fading.hpp"
+#include "rf/channels/watterson.hpp"
 #include "rx/mother/mother_rx.hpp"
 
 int main() {
@@ -45,9 +45,12 @@ int main() {
 
       cvec rx_samples;
       if (doppler > 0.0) {
-        rf::FadingChannel ch({{0, 0.8}, {40, 0.2}}, doppler, fs,
-                             static_cast<std::uint64_t>(kmh) * 31 +
-                                 static_cast<std::uint64_t>(frame));
+        rf::channels::WattersonChannel ch(
+            {{0, 0.8}, {40, 0.2}}, rf::channels::DopplerSpectrum::kJakes,
+            doppler, fs,
+            static_cast<std::uint64_t>(kmh) * 31 +
+                static_cast<std::uint64_t>(frame),
+            16);
         rx_samples = ch.process(burst.samples);
       } else {
         rx_samples.assign(burst.samples.begin(), burst.samples.end());

@@ -17,6 +17,9 @@
 # handling, and mid-stream disconnects all chew on external bytes.
 # test_simd runs every kernel tier, the vector IQ codec included, at
 # odd sizes, so ASan sees each tier's loads and stores at buffer ends.
+# test_netlist_fading and test_streaming_invariance drive the shared
+# sum-of-sinusoids path fader (both Doppler spectra) through its
+# circular delay line at every chunk size, and its snapshot paths.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,7 +31,8 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build}" -j \
   --target test_guard test_fault test_snapshot test_rf test_channels \
-  test_state_fuzz test_net test_simd
+  test_state_fuzz test_net test_simd test_netlist_fading \
+  test_streaming_invariance
 ctest --test-dir "${build}" \
-  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_simd)$' \
+  -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_simd|test_netlist_fading|test_streaming_invariance)$' \
   --output-on-failure "$@"

@@ -9,12 +9,8 @@
 // scalar sequence of IEEE-754 operations (no FMA fusion, no
 // reassociated reductions). Reductions therefore vectorize across
 // *outputs* (each lane accumulates its own output in scalar order),
-// never across the reduction axis.
-//
-// The one sanctioned exception: building with OFDM_SIMD_ALLOW_FMA=ON
-// lets the x86 tiers contract mul+add pairs into FMAs. That changes
-// low-order bits, and the golden-trace digests must be reblessed — see
-// DESIGN.md §13 for the policy.
+// never across the reduction axis. Every kernel TU is compiled with
+// -ffp-contract=off, so the compiler cannot fuse mul+add pairs either.
 #pragma once
 
 #include <cstddef>

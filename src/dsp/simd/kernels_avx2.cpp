@@ -10,8 +10,8 @@
 //  - FIR lanes each own one output and accumulate taps in ascending
 //    (scalar delay-line) order — adjacent outputs read adjacent window
 //    samples, so one unaligned load feeds two lanes;
-//  - compiled with -ffp-contract=off (unless OFDM_SIMD_ALLOW_FMA) so
-//    the compiler cannot fuse the mul/add pairs behind our back.
+//  - compiled with -ffp-contract=off so the compiler cannot fuse the
+//    mul/add pairs behind our back.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>

@@ -30,8 +30,8 @@ void RicianChannel::init_process() {
   Rng rng(seed_);
   const double sigma_rad =
       kTwoPi * (doppler_spread_hz_ / 2.0) / sample_rate_;
-  fading_ = GaussianDopplerProcess(diffuse_power_, sigma_rad,
-                                   n_sinusoids_, rng);
+  fading_ = DopplerProcess(DopplerSpectrum::kGaussian, diffuse_power_,
+                           sigma_rad, n_sinusoids_, rng);
   los_phase0_ = rng.uniform(0.0, kTwoPi);
   los_phase_ = los_phase0_;
 }

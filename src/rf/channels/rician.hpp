@@ -46,7 +46,7 @@ class RicianChannel : public Block {
   std::size_t n_sinusoids_;
   double los_phase_ = 0.0;   // evolving LOS phase (incl. initial draw)
   double los_phase0_ = 0.0;  // seed-derived initial phase
-  GaussianDopplerProcess fading_;
+  DopplerProcess fading_;
 };
 
 }  // namespace ofdm::rf::channels

@@ -9,17 +9,18 @@
 namespace ofdm::rf::channels {
 
 WattersonChannel::WattersonChannel(std::vector<WattersonPath> paths,
-                                   double doppler_spread_hz,
-                                   double sample_rate,
+                                   DopplerSpectrum spectrum,
+                                   double doppler_hz, double sample_rate,
                                    std::uint64_t seed,
                                    std::size_t n_sinusoids)
-    : seed_(seed),
+    : spectrum_(spectrum),
+      seed_(seed),
       n_sinusoids_(n_sinusoids),
-      doppler_spread_hz_(doppler_spread_hz),
+      doppler_hz_(doppler_hz),
       sample_rate_(sample_rate) {
   OFDM_REQUIRE(!paths.empty(), "WattersonChannel: need at least one path");
-  OFDM_REQUIRE(doppler_spread_hz >= 0.0 && sample_rate > 0.0,
-               "WattersonChannel: invalid Doppler spread/sample rate");
+  OFDM_REQUIRE(doppler_hz >= 0.0 && sample_rate > 0.0,
+               "WattersonChannel: invalid Doppler/sample rate");
   for (const WattersonPath& p : paths) {
     Path path;
     path.path = p;
@@ -33,12 +34,14 @@ WattersonChannel::WattersonChannel(std::vector<WattersonPath> paths,
 void WattersonChannel::init_processes() {
   Rng rng(seed_);
   // The ITU "frequency spread" is two-sided: 2 sigma of the Gaussian
-  // spectrum.
-  const double sigma_rad =
-      kTwoPi * (doppler_spread_hz_ / 2.0) / sample_rate_;
+  // spectrum. Jakes takes the maximum Doppler as is.
+  const double doppler_rad =
+      spectrum_ == DopplerSpectrum::kJakes
+          ? kTwoPi * doppler_hz_ / sample_rate_
+          : kTwoPi * (doppler_hz_ / 2.0) / sample_rate_;
   for (Path& p : paths_) {
-    p.fading = GaussianDopplerProcess(p.path.power, sigma_rad,
-                                      n_sinusoids_, rng);
+    p.fading = DopplerProcess(spectrum_, p.path.power, doppler_rad,
+                              n_sinusoids_, rng);
   }
 }
 
@@ -123,7 +126,8 @@ std::unique_ptr<WattersonChannel> make_watterson(CcirCondition c,
       std::llround(p.delay_ms * 1e-3 * sample_rate));
   return std::make_unique<WattersonChannel>(
       std::vector<WattersonPath>{{0, 0.5}, {delay, 0.5}},
-      p.doppler_spread_hz * doppler_scale, sample_rate, seed);
+      DopplerSpectrum::kGaussian, p.doppler_spread_hz * doppler_scale,
+      sample_rate, seed);
 }
 
 }  // namespace ofdm::rf::channels

@@ -1,9 +1,11 @@
-// Watterson HF ionospheric channel: a small number of discrete
-// propagation paths, each an independent Rayleigh process with a
-// Gaussian Doppler spectrum (Watterson et al., "Experimental
-// confirmation of an HF channel model", IEEE Trans. Comm. 1970), plus
-// the CCIR 520 / ITU-R F.1487 two-path reference conditions
-// Good / Moderate / Poor / Flutter used by every HF modem standard.
+// Discrete-path fading channel: a tapped delay line whose every path
+// is an independent sum-of-sinusoids Rayleigh process (doppler.hpp).
+// With the Gaussian Doppler spectrum it is the Watterson HF
+// ionospheric channel (Watterson et al., "Experimental confirmation of
+// an HF channel model", IEEE Trans. Comm. 1970), with the CCIR 520 /
+// ITU-R F.1487 two-path reference conditions Good / Moderate / Poor /
+// Flutter used by every HF modem standard; with the Jakes spectrum it
+// is the classic mobile Rayleigh fader (DAB/DVB-T vehicles).
 #pragma once
 
 #include <memory>
@@ -14,8 +16,8 @@
 
 namespace ofdm::rf::channels {
 
-/// One Watterson path: a delay and an average power; the path gain is
-/// a Gaussian-Doppler Rayleigh process of that power.
+/// One fading path: a delay and an average power; the path gain is a
+/// Rayleigh process of that power.
 struct WattersonPath {
   std::size_t delay_samples = 0;
   double power = 1.0;  ///< average path power (linear)
@@ -23,17 +25,23 @@ struct WattersonPath {
 
 class WattersonChannel : public Block {
  public:
-  /// `doppler_spread_hz` is the ITU-R F.1487 two-sided frequency
-  /// spread (2 sigma of the Gaussian spectrum).
+  /// `doppler_hz` follows the spectrum: for kGaussian it is the ITU-R
+  /// F.1487 two-sided frequency spread (2 sigma of the Gaussian
+  /// spectrum), for kJakes the maximum Doppler fd. One Rng(seed) draws
+  /// every path's process, in path order.
   WattersonChannel(std::vector<WattersonPath> paths,
-                   double doppler_spread_hz, double sample_rate,
-                   std::uint64_t seed = 2020,
+                   DopplerSpectrum spectrum, double doppler_hz,
+                   double sample_rate, std::uint64_t seed = 2020,
                    std::size_t n_sinusoids = 32);
 
   using Block::process;
   void process(std::span<const cplx> in, cvec& out) override;
   void reset() override;
-  std::string name() const override { return "watterson"; }
+  /// "watterson" (Gaussian) or "fading" (Jakes): snapshot frames and
+  /// per-block reports key on it.
+  std::string name() const override {
+    return spectrum_ == DopplerSpectrum::kJakes ? "fading" : "watterson";
+  }
 
   /// Checkpoint the sinusoid phases and the delay line; frequencies
   /// are derived from the seed at construction.
@@ -44,16 +52,16 @@ class WattersonChannel : public Block {
   cvec current_gains() const;
 
   std::size_t n_paths() const { return paths_.size(); }
-  double doppler_spread_hz() const { return doppler_spread_hz_; }
+  double doppler_hz() const { return doppler_hz_; }
 
-  /// Doppler width (Hz, as a spread = 2 sigma) the finite
+  /// Doppler width (Hz, as a spread = 2 x RMS frequency) the finite
   /// sum-of-sinusoids realization of `path` actually carries.
   double realized_spread_hz(std::size_t path) const;
 
  private:
   struct Path {
     WattersonPath path;
-    GaussianDopplerProcess fading;
+    DopplerProcess fading;
   };
 
   void init_processes();
@@ -62,9 +70,10 @@ class WattersonChannel : public Block {
   std::size_t max_delay_ = 0;
   cvec delay_line_;
   std::size_t head_ = 0;
+  DopplerSpectrum spectrum_;
   std::uint64_t seed_;
   std::size_t n_sinusoids_;
-  double doppler_spread_hz_;
+  double doppler_hz_;
   double sample_rate_;
 };
 

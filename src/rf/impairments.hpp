@@ -1,8 +1,10 @@
 // Quadrature impairments: IQ gain/phase imbalance, DC offset (LO
 // leakage) and a phase-noise block that rotates the signal by a free-
-// running noisy LO.
+// running noisy LO; plus powerline-style impulsive noise, so powerline
+// (HomePlug) co-simulations see their characteristic impairment.
 #pragma once
 
+#include "common/rng.hpp"
 #include "rf/block.hpp"
 #include "rf/frontend.hpp"
 
@@ -57,6 +59,37 @@ class PhaseNoise : public Block {
 
  private:
   Oscillator lo_;
+};
+
+/// Powerline/impulsive noise: a Bernoulli process starts bursts of
+/// geometrically distributed length during which strong white noise is
+/// added (Middleton-class-A flavoured, two-state).
+class ImpulseNoise : public Block {
+ public:
+  /// `burst_rate` = burst starts per sample (e.g. 1e-5), `mean_len` =
+  /// mean burst length in samples, `impulse_power` = noise power while
+  /// a burst is active.
+  ImpulseNoise(double burst_rate, double mean_len, double impulse_power,
+               std::uint64_t seed = 555);
+
+  using Block::process;
+  void process(std::span<const cplx> in, cvec& out) override;
+  void reset() override;
+  std::string name() const override { return "impulse-noise"; }
+
+  void save_state(StateWriter& w) const override;
+  void load_state(StateReader& r) override;
+
+  std::size_t bursts_seen() const { return bursts_; }
+
+ private:
+  double burst_rate_;
+  double continue_prob_;
+  double impulse_power_;
+  Rng rng_;
+  std::uint64_t seed_;
+  std::size_t remaining_ = 0;
+  std::size_t bursts_ = 0;
 };
 
 }  // namespace ofdm::rf

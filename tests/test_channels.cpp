@@ -1,6 +1,7 @@
 // Statistical validation of the standard channel-model library
 // (src/rf/channels): Rayleigh envelope statistics and Gaussian Doppler
-// spectrum width of the Watterson fading process, Rician K-factor
+// spectrum width of the Watterson fading process, the Jakes spectrum's
+// Clarke statistics and its bit-identity pin, Rician K-factor
 // recovery, the published ITU-R M.1225 / SUI tap tables, oscillator
 // drift frequency trajectories, registry metadata and seeded
 // bit-reproducibility. Every test runs under a fixed seed and asserts
@@ -10,11 +11,18 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "common/types.hpp"
+#include "obs/stream_hash.hpp"
+#include "rf/chain.hpp"
+#include "rf/channel.hpp"
 #include "rf/channels/cfo.hpp"
 #include "rf/channels/doppler.hpp"
 #include "rf/channels/registry.hpp"
@@ -39,7 +47,8 @@ cvec gain_trajectory(Block& block, std::size_t n) {
 TEST(RayleighEnvelope, MomentRatioMatchesRayleigh) {
   // Single Watterson path = one Gaussian-Doppler Rayleigh process.
   // For a Rayleigh envelope r: E[r^2] / E[r]^2 = 4 / pi.
-  WattersonChannel ch({{0, 1.0}}, 200.0, 2000.0, 71, 64);
+  WattersonChannel ch({{0, 1.0}}, DopplerSpectrum::kGaussian, 200.0, 2000.0,
+                      71, 64);
   const cvec g = gain_trajectory(ch, 120000);
   double sum_r = 0.0;
   double sum_r2 = 0.0;
@@ -57,7 +66,8 @@ TEST(RayleighEnvelope, MomentRatioMatchesRayleigh) {
 }
 
 TEST(RayleighEnvelope, KolmogorovSmirnovAgainstRayleighCdf) {
-  WattersonChannel ch({{0, 1.0}}, 200.0, 2000.0, 72, 64);
+  WattersonChannel ch({{0, 1.0}}, DopplerSpectrum::kGaussian, 200.0, 2000.0,
+                      72, 64);
   const cvec g = gain_trajectory(ch, 120000);
   // Subsample well past the decorrelation time (~1/sigma_rad ≈ 3
   // samples here) so the KS statistic sees near-independent draws.
@@ -91,7 +101,7 @@ TEST(GaussianDoppler, AutocorrelationRecoversSpectrumWidth) {
   // actually carries.
   const double sigma = 0.05;
   Rng rng(73);
-  GaussianDopplerProcess proc(1.0, sigma, 256, rng);
+  DopplerProcess proc(DopplerSpectrum::kGaussian, 1.0, sigma, 256, rng);
   const std::size_t n = 50000;
   cvec g(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -125,7 +135,7 @@ TEST(GaussianDoppler, WattersonPresetsCarryNominalSpread) {
     const WattersonPreset& p = watterson_preset(c);
     auto ch = make_watterson(c, 48e3, 2020);
     ASSERT_EQ(ch->n_paths(), 2u) << p.name;
-    EXPECT_EQ(ch->doppler_spread_hz(), p.doppler_spread_hz) << p.name;
+    EXPECT_EQ(ch->doppler_hz(), p.doppler_spread_hz) << p.name;
     for (std::size_t path = 0; path < 2; ++path) {
       EXPECT_NEAR(ch->realized_spread_hz(path), p.doppler_spread_hz,
                   0.4 * p.doppler_spread_hz)
@@ -170,6 +180,77 @@ TEST(Watterson, TwoPathImpulseResponseHasPresetDelay) {
   for (std::size_t i = 0; i < y.size(); ++i) {
     if (i == 0 || i == 96) continue;
     EXPECT_EQ(std::abs(y[i]), 0.0) << "unexpected energy at " << i;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Jakes spectrum: bit-identity pin and Clarke statistics
+// ---------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::unique_ptr<WattersonChannel> jakes_pin_fader() {
+  return std::make_unique<WattersonChannel>(
+      std::vector<WattersonPath>{{0, 0.6}, {3, 0.3}, {7, 0.1}},
+      DopplerSpectrum::kJakes, 80.0, 1e6, 77, 16);
+}
+
+TEST(JakesFader, ReproducesRecordedDigests) {
+  // Recorded from the dedicated Jakes fader class that the kJakes
+  // spectrum replaced, with the same taps, Doppler, seed and sinusoid
+  // count. Output, block snapshot (after 3000 samples) and the
+  // snapshot of a chain framing the fader by name must all match bit
+  // for bit, under every SIMD tier.
+  constexpr std::uint64_t kOutputDigest = 0xb8ff35897368dda1ULL;
+  constexpr std::uint64_t kStateDigest = 0xc848333b54249c40ULL;
+  constexpr std::uint64_t kChainDigest = 0x69dce3496fa734b3ULL;
+
+  Rng rng(4242);
+  cvec x(8192);
+  for (cplx& v : x) v = rng.complex_gaussian(1.0);
+  const auto head = std::span<const cplx>(x).first(3000);
+
+  EXPECT_EQ(obs::hash_samples(jakes_pin_fader()->process(x)),
+            kOutputDigest);
+
+  auto fader = jakes_pin_fader();
+  EXPECT_EQ(fader->name(), "fading");
+  (void)fader->process(head);
+  StateWriter w;
+  fader->save_state(w);
+  EXPECT_EQ(fnv1a(w.bytes()), kStateDigest);
+
+  Chain chain;
+  chain.add_ptr(jakes_pin_fader());
+  chain.add<AwgnChannel>(1e-3, 23);
+  (void)chain.process(head);
+  StateWriter cw;
+  chain.save_state(cw);
+  EXPECT_EQ(fnv1a(cw.bytes()), kChainDigest);
+}
+
+TEST(JakesFader, RealizedDopplerMatchesClarkeRms) {
+  // The Clarke U-shaped spectrum of maximum Doppler fd has RMS Doppler
+  // fd / sqrt(2); the +-0.1 rad angle jitter keeps a 16-sinusoid
+  // realization within 5% of it, and no sinusoid exceeds fd.
+  const double fd_rad = kTwoPi * 80.0 / 1e6;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    const DopplerProcess proc(DopplerSpectrum::kJakes, 1.0, fd_rad, 16,
+                              rng);
+    EXPECT_NEAR(proc.realized_sigma_rad(), fd_rad / std::sqrt(2.0),
+                0.05 * fd_rad / std::sqrt(2.0))
+        << "seed " << seed;
+    for (double f : proc.frequencies()) {
+      EXPECT_LE(std::abs(f), fd_rad) << "seed " << seed;
+    }
   }
 }
 
@@ -393,6 +474,32 @@ TEST(Registry, UnknownPresetAndBadOptionsThrow) {
   MakeOptions bad_fs;
   bad_fs.sample_rate = 0.0;
   EXPECT_THROW(make_preset("ccir_poor", bad_fs), ConfigError);
+}
+
+TEST(DopplerProcessRefusals, InvalidConfigThrows) {
+  Rng rng(1);
+  for (DopplerSpectrum s :
+       {DopplerSpectrum::kGaussian, DopplerSpectrum::kJakes}) {
+    EXPECT_THROW(DopplerProcess(s, -0.1, 0.01, 32, rng), ConfigError);
+    EXPECT_THROW(DopplerProcess(s, 1.0, -0.01, 32, rng), ConfigError);
+  }
+  // Each spectrum keeps its own minimum sinusoid count.
+  EXPECT_THROW(DopplerProcess(DopplerSpectrum::kGaussian, 1.0, 0.01, 7, rng),
+               ConfigError);
+  EXPECT_NO_THROW(
+      DopplerProcess(DopplerSpectrum::kGaussian, 1.0, 0.01, 8, rng));
+  EXPECT_THROW(DopplerProcess(DopplerSpectrum::kJakes, 1.0, 0.01, 3, rng),
+               ConfigError);
+  EXPECT_NO_THROW(DopplerProcess(DopplerSpectrum::kJakes, 1.0, 0.01, 4, rng));
+  // A negative path power would make the Jakes gains NaN; it is refused.
+  EXPECT_THROW(WattersonChannel({{0, 1.0}, {3, -0.2}},
+                                DopplerSpectrum::kJakes, 80.0, 1e6, 7, 16),
+               ConfigError);
+  EXPECT_THROW(WattersonChannel({}, DopplerSpectrum::kJakes, 80.0, 1e6),
+               ConfigError);
+  EXPECT_THROW(WattersonChannel({{0, 1.0}}, DopplerSpectrum::kJakes, -1.0,
+                                1e6),
+               ConfigError);
 }
 
 TEST(Registry, DopplerScaleSpeedsUpFading) {

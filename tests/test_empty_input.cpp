@@ -11,7 +11,7 @@
 #include "dsp/resample.hpp"
 #include "rf/chain.hpp"
 #include "rf/channel.hpp"
-#include "rf/fading.hpp"
+#include "rf/channels/watterson.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
 #include "rf/netlist.hpp"
@@ -36,8 +36,9 @@ std::vector<std::unique_ptr<Block>> all_blocks() {
   blocks.push_back(
       std::make_unique<MultipathChannel>(exponential_pdp_taps(2.0, 8, 1)));
   blocks.push_back(std::make_unique<AwgnChannel>(1e-4));
-  blocks.push_back(std::make_unique<FadingChannel>(
-      std::vector<FadingTap>{{0, 1.0}, {3, 0.3}}, 50.0, 1e6, 9));
+  blocks.push_back(std::make_unique<channels::WattersonChannel>(
+      std::vector<channels::WattersonPath>{{0, 1.0}, {3, 0.3}},
+      channels::DopplerSpectrum::kJakes, 50.0, 1e6, 9, 16));
   blocks.push_back(std::make_unique<ImpulseNoise>(0.01, 4.0, 1.0));
   blocks.push_back(std::make_unique<Dac>(10, 4));
   blocks.push_back(std::make_unique<FrequencyShift>(1e6, 20e6));

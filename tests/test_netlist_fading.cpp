@@ -8,7 +8,8 @@
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/profiles.hpp"
-#include "rf/fading.hpp"
+#include "rf/channels/watterson.hpp"
+#include "rf/impairments.hpp"
 #include "rf/netlist.hpp"
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"
@@ -118,10 +119,14 @@ TEST(Netlist, RejectsDrivingASource) {
 
 // --- fading -------------------------------------------------------------
 
+using channels::WattersonChannel;
+constexpr auto kJakes = channels::DopplerSpectrum::kJakes;
+
 TEST(Fading, UnitAveragePowerAndRayleighEnvelope) {
   // Fast fading so the time average converges over the test window
   // (slow Doppler keeps near-DC sinusoids from averaging out).
-  FadingChannel ch({{0, 1.0}}, /*doppler=*/500.0, /*fs=*/1e6, 77);
+  WattersonChannel ch({{0, 1.0}}, kJakes, /*doppler=*/500.0, /*fs=*/1e6, 77,
+                      16);
   const cvec ones(200000, cplx{1.0, 0.0});
   const cvec out = ch.process(ones);
   // Average power ~ tap power.
@@ -140,7 +145,7 @@ TEST(Fading, UnitAveragePowerAndRayleighEnvelope) {
 TEST(Fading, DopplerControlsDecorrelationRate) {
   // Autocorrelation at a fixed lag decays faster for larger Doppler.
   auto correlation_at_lag = [](double doppler, std::size_t lag) {
-    FadingChannel ch({{0, 1.0}}, doppler, 1e6, 42);
+    WattersonChannel ch({{0, 1.0}}, kJakes, doppler, 1e6, 42, 16);
     const cvec ones(50000, cplx{1.0, 0.0});
     const cvec g = ch.process(ones);
     cplx corr{0.0, 0.0};
@@ -158,7 +163,7 @@ TEST(Fading, DopplerControlsDecorrelationRate) {
 }
 
 TEST(Fading, MultiTapSpreadsDelay) {
-  FadingChannel ch({{0, 0.7}, {5, 0.3}}, 50.0, 1e6, 7);
+  WattersonChannel ch({{0, 0.7}, {5, 0.3}}, kJakes, 50.0, 1e6, 7, 16);
   cvec impulse(20, cplx{0.0, 0.0});
   impulse[0] = {1.0, 0.0};
   const cvec out = ch.process(impulse);
@@ -168,7 +173,7 @@ TEST(Fading, MultiTapSpreadsDelay) {
 }
 
 TEST(Fading, ResetReproducesTheProcess) {
-  FadingChannel ch({{0, 1.0}}, 100.0, 1e6, 11);
+  WattersonChannel ch({{0, 1.0}}, kJakes, 100.0, 1e6, 11, 16);
   const cvec ones(1000, cplx{1.0, 0.0});
   const cvec a = ch.process(ones);
   ch.reset();

@@ -27,7 +27,7 @@
 #include "mapping/constellation.hpp"
 #include "net/protocol.hpp"
 #include "rf/channel.hpp"
-#include "rf/fading.hpp"
+#include "rf/channels/watterson.hpp"
 
 namespace {
 
@@ -567,16 +567,20 @@ TEST(FirEdge, MultipathChannelOddChunkInvariance) {
   }
 }
 
-TEST(FirEdge, FadingChannelOddChunkInvariance) {
-  const std::vector<rf::FadingTap> taps = {{0, 0.6}, {3, 0.3}, {7, 0.1}};
+TEST(FirEdge, JakesFaderOddChunkInvariance) {
+  using rf::channels::DopplerSpectrum;
+  const std::vector<rf::channels::WattersonPath> taps = {
+      {0, 0.6}, {3, 0.3}, {7, 0.1}};
   const cvec input = random_cvec(501, 6);
 
-  rf::FadingChannel one_shot(taps, 80.0, 1e6, 77);
+  rf::channels::WattersonChannel one_shot(taps, DopplerSpectrum::kJakes,
+                                          80.0, 1e6, 77, 16);
   cvec expect;
   one_shot.process(input, expect);
 
   for (std::size_t chunk : {1u, 4u, 9u, 100u}) {
-    rf::FadingChannel ch(taps, 80.0, 1e6, 77);
+    rf::channels::WattersonChannel ch(taps, DopplerSpectrum::kJakes, 80.0,
+                                      1e6, 77, 16);
     cvec got, out;
     for (std::size_t pos = 0; pos < input.size(); pos += chunk) {
       const std::size_t n = std::min(chunk, input.size() - pos);

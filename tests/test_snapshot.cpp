@@ -16,7 +16,6 @@
 #include "rf/channels/rician.hpp"
 #include "rf/channels/tdl.hpp"
 #include "rf/channels/watterson.hpp"
-#include "rf/fading.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
 #include "rf/netlist.hpp"
@@ -141,8 +140,9 @@ TEST(BlockState, StatefulBlocksResumeBitIdentically) {
         rf::exponential_pdp_taps(2.0, 6, 11));
   });
   expect_block_resumes([] {
-    return make_unique<rf::FadingChannel>(
-        std::vector<rf::FadingTap>{{0, 1.0}, {3, 0.5}}, 50.0, 1e6, 21);
+    return make_unique<rf::channels::WattersonChannel>(
+        std::vector<rf::channels::WattersonPath>{{0, 1.0}, {3, 0.5}},
+        rf::channels::DopplerSpectrum::kJakes, 50.0, 1e6, 21, 16);
   });
   expect_block_resumes(
       [] { return make_unique<rf::ImpulseNoise>(1e-3, 8.0, 4.0, 31); });
@@ -190,7 +190,7 @@ TEST(BlockState, WattersonRejectsWrongPathCount) {
   StateWriter w;
   two->save_state(w);
   rf::channels::WattersonChannel one(
-      {{0, 1.0}}, 1.0, 48e3, 5);
+      {{0, 1.0}}, rf::channels::DopplerSpectrum::kGaussian, 1.0, 48e3, 5);
   StateReader r(w.bytes());
   EXPECT_THROW(one.load_state(r), StateError);
 }

@@ -16,7 +16,6 @@
 #include "rf/channels/rician.hpp"
 #include "rf/channels/tdl.hpp"
 #include "rf/channels/watterson.hpp"
-#include "rf/fading.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
 #include "rf/pa.hpp"
@@ -44,8 +43,9 @@ std::vector<Case> stateful_blocks() {
        }},
       {"fading",
        [] {
-         return std::make_unique<FadingChannel>(
-             std::vector<FadingTap>{{0, 0.8}, {3, 0.2}}, 200.0, 1e6, 9);
+         return std::make_unique<channels::WattersonChannel>(
+             std::vector<channels::WattersonPath>{{0, 0.8}, {3, 0.2}},
+             channels::DopplerSpectrum::kJakes, 200.0, 1e6, 9, 16);
        }},
       {"impulse-noise",
        [] { return std::make_unique<ImpulseNoise>(1e-3, 10.0, 25.0, 7); }},

@@ -17,7 +17,6 @@
 #include "rf/chain.hpp"
 #include "rf/guard.hpp"
 #include "rf/channel.hpp"
-#include "rf/fading.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
 #include "rf/netlist.hpp"
