@@ -6,7 +6,8 @@
 # byte-identical. This exercises deck parsing, the work-stealing
 # scheduler, checkpoint write/restore, and the determinism contract in
 # one shot. The channel_sweep deck extends the same contract over the
-# standard channel-model library (per-trial Watterson/TDL realizations).
+# standard channel-model library (per-trial Watterson/TDL realizations)
+# and, run once more with --trace, over tracing.
 #
 # Usage: scripts/campaign_smoke.sh [build-dir]
 set -euo pipefail
@@ -64,8 +65,34 @@ run_deck() {
          "($(wc -c < "$work/ref.json") bytes of curve JSON)"
 }
 
+# Tracing must not perturb a run: the channel sweep again with --trace
+# gives the straight-through curves byte for byte, and the trace names
+# the channel blocks of the (already destroyed) per-trial chains.
+trace_deck() {
+    local work="$BUILD_DIR/campaign_smoke/channel_sweep"
+    echo "== [channel_sweep] traced run (4 threads) =="
+    $TO "$CLI" decks/channel_sweep.deck --threads 4 --out "$work/traced" \
+        --trace "$work/trace.json" --quiet
+    for ext in json csv; do
+        if ! cmp -s "$work/ref.$ext" "$work/traced.$ext"; then
+            echo "error: traced .$ext curves differ from the untraced run" >&2
+            diff "$work/ref.$ext" "$work/traced.$ext" >&2 || true
+            exit 1
+        fi
+    done
+    for span in watterson awgn; do
+        if ! grep -q "\"name\":\"$span\"" "$work/trace.json"; then
+            echo "error: trace has no '$span' span" >&2
+            exit 1
+        fi
+    done
+    echo "[channel_sweep] OK: traced curves byte-identical," \
+         "$(grep -c '"ph":"X"' "$work/trace.json") spans"
+}
+
 run_deck decks/ci_smoke.deck
 run_deck decks/channel_sweep.deck
+trace_deck
 # The coded deck extends the contract over the rx= grid dimension: the
 # full FEC receiver (soft LLR + soft Viterbi on WLAN, RS on ADSL+fec)
 # and the pre-FEC uncoded tap in one sweep.

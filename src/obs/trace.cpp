@@ -4,12 +4,24 @@
 #include <chrono>
 #include <fstream>
 #include <ostream>
+#include <set>
 
 namespace ofdm::obs {
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
   return tracer;
+}
+
+const char* intern(std::string_view name) {
+  static std::mutex mu;
+  // Never destroyed, so the names stay valid through static teardown;
+  // set nodes never move, so c_str() is stable across insertions.
+  static auto* const table = new std::set<std::string, std::less<>>;
+  std::lock_guard lk(mu);
+  auto it = table->find(name);
+  if (it == table->end()) it = table->emplace(name).first;
+  return it->c_str();
 }
 
 std::uint64_t Tracer::now_ns() {

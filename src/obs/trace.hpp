@@ -10,7 +10,8 @@
 //
 // Zero overhead when off: an emitting site performs one relaxed atomic
 // load and skips both clock reads. Span names must be string literals
-// or strings that outlive the snapshot (Block caches its label).
+// or intern()ed: a span outlives the object that recorded it (a traced
+// campaign builds and drops one rf::Chain per trial).
 //
 // Export is Chrome-trace JSON ("chrome://tracing" / Perfetto "X" phase
 // events), so a capture drops straight into the standard viewers.
@@ -21,6 +22,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ofdm::obs {
@@ -83,6 +85,11 @@ class Tracer {
   std::vector<TraceEvent> ring_;
   mutable std::mutex control_;  // guards enable/disable/snapshot/clear
 };
+
+/// A copy of `name` that lives until the process exits; equal names
+/// share one pointer. Thread-safe. For span names that come from an
+/// object (Block::name()) rather than a string literal.
+const char* intern(std::string_view name);
 
 /// RAII span: times the enclosing scope and reports it on destruction.
 /// When the tracer is disabled the constructor is one atomic load.

@@ -32,15 +32,17 @@ void Block::process_observed(std::span<const cplx> in, cvec& out) {
   if (probe_ == nullptr && !tracing) {
     process(in, out);
   } else {
-    // The label is cached on first observed use (one allocation, outside
-    // the steady state) so span names stay valid for the trace's
-    // lifetime.
-    if (tracing && trace_label_.empty()) trace_label_ = name();
+    // The label is interned on first observed use (one lookup, outside
+    // the steady state): the tracer keeps the pointer after this block
+    // is gone, so it must not point into the block.
+    if (tracing && trace_label_ == nullptr) {
+      trace_label_ = obs::intern(name());
+    }
     const std::uint64_t t0 = obs::Tracer::now_ns();
     process(in, out);
     const std::uint64_t dt = obs::Tracer::now_ns() - t0;
     if (probe_ != nullptr) probe_->record(in, out, dt);
-    if (tracing) tracer.record(trace_label_.c_str(), t0, dt);
+    if (tracing) tracer.record(trace_label_, t0, dt);
   }
   // The guard sweeps after the counters are folded in, so a Throw still
   // leaves the probes/trace describing the faulting call.
@@ -53,12 +55,14 @@ void Source::pull_observed(std::size_t n, cvec& out) {
   if (probe_ == nullptr && !tracing) {
     pull(n, out);
   } else {
-    if (tracing && trace_label_.empty()) trace_label_ = name();
+    if (tracing && trace_label_ == nullptr) {
+      trace_label_ = obs::intern(name());
+    }
     const std::uint64_t t0 = obs::Tracer::now_ns();
     pull(n, out);
     const std::uint64_t dt = obs::Tracer::now_ns() - t0;
     if (probe_ != nullptr) probe_->record({}, out, dt);
-    if (tracing) tracer.record(trace_label_.c_str(), t0, dt);
+    if (tracing) tracer.record(trace_label_, t0, dt);
   }
   if (guard_ != nullptr) guard_->scan(out);
 }

@@ -86,7 +86,7 @@ class Block {
  private:
   obs::BlockProbe* probe_ = nullptr;
   NumericGuard* guard_ = nullptr;
-  std::string trace_label_;  // cached name() for stable span naming
+  const char* trace_label_ = nullptr;  // obs::intern(name()), lazily
 };
 
 /// A signal source: produces samples on demand (the paper's "signal
@@ -124,7 +124,7 @@ class Source {
  private:
   obs::BlockProbe* probe_ = nullptr;
   NumericGuard* guard_ = nullptr;
-  std::string trace_label_;
+  const char* trace_label_ = nullptr;
 };
 
 }  // namespace ofdm::rf

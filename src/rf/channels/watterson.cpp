@@ -65,8 +65,18 @@ void WattersonChannel::process(std::span<const cplx> in, cvec& out) {
     delay_line_[head_] = in[i];
     cplx acc{0.0, 0.0};
     for (const Path& p : paths_) {
-      const std::size_t idx = (head_ + p.path.delay_samples) % line;
-      acc += delay_line_[idx] * p.fading.gain();
+      const cplx x = delay_line_[(head_ + p.path.delay_samples) % line];
+      // Live-path rule: a path reading an exact zero (either sign, both
+      // parts) skips its gain. The gain is finite (|cos| <= 1, finite
+      // amplitude), so x * gain is a pair of signed zeros, and dropping
+      // it leaves acc's bits unchanged: each part of acc starts at +0,
+      // v + (+-0) == v for every non-zero v and +0 + (+-0) == +0, so a
+      // part never becomes -0 and no +-0 term can move it. advance()
+      // below still runs for every path, so the phases and snapshots
+      // are untouched. A zero-primed echo beyond the burst (ccir_poor's
+      // 2 ms path) costs only its phase advance.
+      if (x.real() == 0.0 && x.imag() == 0.0) continue;
+      acc += x * p.fading.gain();
     }
     out[i] = acc;
     for (Path& p : paths_) p.fading.advance();

@@ -369,7 +369,8 @@ std::vector<cvec> MotherReceiver::extract_data_tones(
 }
 
 MotherReceiver::Result MotherReceiver::demodulate(
-    std::span<const cplx> burst, std::size_t payload_bits) const {
+    std::span<const cplx> burst, std::size_t payload_bits,
+    std::vector<cvec>* data_tones) const {
   const OfdmParams& p = params_;
   const ChainLengths len = chain_lengths(p, payload_bits);
   const std::size_t min_syms = p.frame.symbols_per_frame;
@@ -404,9 +405,11 @@ MotherReceiver::Result MotherReceiver::demodulate(
   cvec data;
   rvec noise_scratch;
   rvec sym_llr;
+  if (data_tones != nullptr) data_tones->resize(n_symbols);
   for (std::size_t sym = 0; sym < n_symbols; ++sym) {
     const cvec bins = demod_bins(burst, offset, /*equalized=*/true);
     extract_symbol(bins, pilots.next_symbol(), data);
+    if (data_tones != nullptr) (*data_tones)[sym] = data;
 
     if (soft) {
       soft_demap_symbol(data, noise_scratch, sym_llr);

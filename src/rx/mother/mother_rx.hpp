@@ -93,9 +93,11 @@ class MotherReceiver {
   };
 
   /// Demodulate a burst produced by Transmitter::modulate() for
-  /// `payload_bits` payload bits, honoring options().mode.
-  Result demodulate(std::span<const cplx> burst,
-                    std::size_t payload_bits) const;
+  /// `payload_bits` payload bits, honoring options().mode. A non-null
+  /// `data_tones` receives the equalized data cells of every payload
+  /// symbol demodulated, the same values extract_data_tones() returns.
+  Result demodulate(std::span<const cplx> burst, std::size_t payload_bits,
+                    std::vector<cvec>* data_tones = nullptr) const;
 
   /// Equalized constellation-domain data cells per payload symbol —
   /// the input to EVM measurements.

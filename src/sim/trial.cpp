@@ -26,6 +26,7 @@ struct LinkRunner::State {
   // Scratch reused across the trials of run_trials calls.
   core::Transmitter::Burst burst_scratch;
   cvec rx_scratch;
+  std::vector<cvec> tones_scratch;  ///< rx's data tones, for EVM
 
   TrialResult run_one(std::size_t trial_index,
                       core::Transmitter::Burst& burst, cvec& rx_samples);
@@ -161,7 +162,8 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index,
   if (s.rx.soft_path_active()) {
     s.rx.set_noise_from_sample_variance(noise_power);
   }
-  const auto decoded = s.rx.demodulate(rx_samples, payload.size());
+  const auto decoded = s.rx.demodulate(
+      rx_samples, payload.size(), d.measure_evm ? &s.tones_scratch : nullptr);
 
   TrialResult r;
   metrics::BerResult b;
@@ -179,10 +181,12 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index,
   if (d.measure_evm) {
     const auto ref_tones =
         s.ref_rx.extract_data_tones(burst.samples, burst.data_symbols);
-    const auto tones =
-        s.rx.extract_data_tones(rx_samples, burst.data_symbols);
-    for (std::size_t sym = 0; sym < tones.size(); ++sym) {
-      const cvec& a = tones[sym];
+    // demodulate() pads to the transmitter's symbol count, so its tones
+    // cover every data symbol of the burst.
+    OFDM_REQUIRE(s.tones_scratch.size() >= ref_tones.size(),
+                 "sim: receiver demodulated fewer symbols than sent");
+    for (std::size_t sym = 0; sym < ref_tones.size(); ++sym) {
+      const cvec& a = s.tones_scratch[sym];
       const cvec& b2 = ref_tones[sym];
       const std::size_t n = std::min(a.size(), b2.size());
       for (std::size_t i = 0; i < n; ++i) {

@@ -236,6 +236,107 @@ TEST(JakesFader, ReproducesRecordedDigests) {
   EXPECT_EQ(fnv1a(cw.bytes()), kChainDigest);
 }
 
+// ---------------------------------------------------------------------
+// Live-path rule: a path whose delayed sample is exactly zero skips its
+// gain evaluation. Digests recorded from the fader that evaluated every
+// path on every sample; they must hold in one call, in odd chunks and
+// across a snapshot/restore, under every SIMD tier.
+// ---------------------------------------------------------------------
+
+struct StreamDigests {
+  std::uint64_t output = 0;
+  std::uint64_t state = 0;
+};
+
+using FaderFactory = std::unique_ptr<WattersonChannel> (*)();
+
+StreamDigests digests_of(const cvec& out, const WattersonChannel& ch) {
+  StateWriter w;
+  ch.save_state(w);
+  return {obs::hash_samples(out), fnv1a(w.bytes())};
+}
+
+// Runs `x` through fresh faders in one call, in chunks of 1, 7 and 333,
+// and split at `cut` with a save/load into a new fader; every way must
+// give the one-call digests, which are returned.
+StreamDigests live_path_digests(FaderFactory make, const cvec& x,
+                                std::size_t cut) {
+  auto whole = make();
+  const StreamDigests ref = digests_of(whole->process(x), *whole);
+
+  for (std::size_t chunk : {1u, 7u, 333u}) {
+    auto ch = make();
+    cvec out;
+    cvec part;
+    for (std::size_t i = 0; i < x.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, x.size() - i);
+      ch->process(std::span<const cplx>(x).subspan(i, n), part);
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    const StreamDigests d = digests_of(out, *ch);
+    EXPECT_EQ(d.output, ref.output) << "chunk " << chunk;
+    EXPECT_EQ(d.state, ref.state) << "chunk " << chunk;
+  }
+
+  auto first = make();
+  cvec out = first->process(std::span<const cplx>(x).first(cut));
+  StateWriter w;
+  first->save_state(w);
+  auto second = make();
+  StateReader r(w.bytes());
+  second->load_state(r);
+  const cvec rest = second->process(std::span<const cplx>(x).subspan(cut));
+  out.insert(out.end(), rest.begin(), rest.end());
+  const StreamDigests d = digests_of(out, *second);
+  EXPECT_EQ(d.output, ref.output) << "snapshot at " << cut;
+  EXPECT_EQ(d.state, ref.state) << "snapshot at " << cut;
+  return ref;
+}
+
+TEST(WattersonLivePath, EchoBeyondStreamMatchesRecordedDigests) {
+  // ccir_poor at 20 MS/s puts the second path 40,000 samples out: over
+  // a 1,500-sample stream it only ever reads the zero-primed line.
+  constexpr std::uint64_t kOutputDigest = 0x278938ad1a645b19ULL;
+  constexpr std::uint64_t kStateDigest = 0xd9b6e6e387034574ULL;
+  FaderFactory make = [] {
+    return make_watterson(CcirCondition::kPoor, 20e6, 909);
+  };
+  Rng rng(515);
+  cvec x(1500);
+  for (cplx& v : x) v = rng.complex_gaussian(1.0);
+  const StreamDigests d = live_path_digests(make, x, 700);
+  EXPECT_EQ(d.output, kOutputDigest);
+  EXPECT_EQ(d.state, kStateDigest);
+}
+
+TEST(WattersonLivePath, ZeroRunsAndSignedZerosMatchRecordedDigests) {
+  // Three Jakes paths, delays 0 / 2 / 5. The stream opens with zeros,
+  // has an isolated zero inside a live run, interior zero runs shorter
+  // and longer than the largest delay, and samples with -0.0 parts.
+  constexpr std::uint64_t kOutputDigest = 0x74a56a72c5a08611ULL;
+  constexpr std::uint64_t kStateDigest = 0x63af19cb0ee5d677ULL;
+  FaderFactory make = [] {
+    return std::make_unique<WattersonChannel>(
+        std::vector<WattersonPath>{{0, 0.5}, {2, 0.3}, {5, 0.2}},
+        DopplerSpectrum::kJakes, 300.0, 1e5, 31, 16);
+  };
+  Rng rng(616);
+  cvec x(600);
+  for (cplx& v : x) v = rng.complex_gaussian(1.0);
+  for (std::size_t i = 0; i < 12; ++i) x[i] = {0.0, 0.0};
+  x[60] = {0.0, 0.0};
+  for (std::size_t i = 100; i < 103; ++i) x[i] = {-0.0, 0.0};
+  for (std::size_t i = 200; i < 240; ++i) {
+    x[i] = i % 2 == 0 ? cplx{-0.0, -0.0} : cplx{0.0, -0.0};
+  }
+  x[300] = {-0.0, 0.7};  // one zero part: the path stays live
+  x[301] = {0.4, -0.0};
+  for (std::size_t i = 450; i < 470; ++i) x[i] = {0.0, 0.0};
+  const StreamDigests d = live_path_digests(make, x, 220);
+  EXPECT_EQ(d.output, kOutputDigest);
+  EXPECT_EQ(d.state, kStateDigest);
+}
+
 TEST(JakesFader, RealizedDopplerMatchesClarkeRms) {
   // The Clarke U-shaped spectrum of maximum Doppler fd has RMS Doppler
   // fd / sqrt(2); the +-0.1 rad angle jitter keeps a 16-sinusoid

@@ -73,6 +73,34 @@ TEST_P(MotherRxFamily, UncodedTapReturnsExactCodedStream) {
       << "standard: " << core::standard_name(GetParam());
 }
 
+TEST_P(MotherRxFamily, DemodulateHandsBackTheExtractedTones) {
+  // The campaign's EVM reads the tones demodulate() hands back instead
+  // of extracting them again: they must be extract_data_tones()'s
+  // values, here on a noisy burst with an equalizer and pilot tracking.
+  const OfdmParams params = core::profile_for(GetParam());
+  core::Transmitter tx(params);
+  rx::MotherReceiver rx(params);
+  rx.set_demap(mapping::DemapMode::kSoft);
+  rx.set_pilot_tracking(true);
+
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 303);
+  const std::size_t n_bits =
+      std::min<std::size_t>(tx.recommended_payload_bits(), 1024);
+  const auto burst = tx.modulate(rng.bits(n_bits));
+  rf::Chain chain;
+  chain.add<rf::AwgnChannel>(1e-3, rng.next_u64());
+  cvec noisy;
+  chain.process(burst.samples, noisy);
+  rx.set_equalizer(rx.estimate_equalizer(noisy));
+
+  std::vector<cvec> tones;
+  const auto result = rx.demodulate(noisy, n_bits, &tones);
+  ASSERT_EQ(tones.size(), result.symbols);
+  ASSERT_GE(tones.size(), burst.data_symbols);
+  EXPECT_EQ(tones, rx.extract_data_tones(noisy, tones.size()))
+      << "standard: " << core::standard_name(GetParam());
+}
+
 TEST_P(MotherRxFamily, DescriptorNamesEveryStage) {
   const OfdmParams params = core::profile_for(GetParam());
   const auto d = rx::describe_receiver(params);

@@ -276,6 +276,21 @@ std::string wait_terminal(LineClient& client, const std::string& id,
   }
 }
 
+// Polls until job `id` has left the queue for an executor.
+void wait_running(LineClient& client, const std::string& id) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    Json sreq = op("status");
+    sreq.set("id", id);
+    const std::string state = client.request(sreq).str_or("state", "");
+    if (state == "running") return;
+    ASSERT_EQ(state, "queued") << "job went terminal before running";
+    ASSERT_TRUE(std::chrono::steady_clock::now() < deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 TEST(NetServer, PingStatsAndUnknownOp) {
   Server server(quick_config());
   server.start();
@@ -755,10 +770,14 @@ TEST(NetServer, QueueFullBackpressureAndQuota) {
   server.start();
   LineClient client = connect_to(server);
 
-  // #1 occupies the single executor, #2 the single queue slot.
+  // #1 occupies the single executor, #2 the single queue slot. #2 is
+  // sent only once #1 runs: while #1 still waits in the queue, the
+  // queue is already full.
   Json req = op("submit");
   req.set("deck", slow_deck(1));
-  ASSERT_TRUE(client.request(req).bool_or("ok", false));
+  const Json first = client.request(req);
+  ASSERT_TRUE(first.bool_or("ok", false));
+  ASSERT_NO_FATAL_FAILURE(wait_running(client, first.str_or("id", "")));
   req = op("submit");
   req.set("deck", slow_deck(2));
   ASSERT_TRUE(client.request(req).bool_or("ok", false));
@@ -944,17 +963,7 @@ TEST(NetServer, ExplicitCancelIsNotResurrectedByDrain) {
 
   // Wait until the job is actually running, then cancel and drain
   // back-to-back: the explicit cancel must outrank the drain handoff.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (;;) {
-    Json sreq = op("status");
-    sreq.set("id", id);
-    const std::string state = client.request(sreq).str_or("state", "");
-    if (state == "running") break;
-    ASSERT_EQ(state, "queued") << "job went terminal before the cancel";
-    ASSERT_TRUE(std::chrono::steady_clock::now() < deadline);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  ASSERT_NO_FATAL_FAILURE(wait_running(client, id));
   Json creq = op("cancel");
   creq.set("id", id);
   ASSERT_TRUE(client.request(creq).bool_or("ok", false));

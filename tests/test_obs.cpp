@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/profiles.hpp"
 #include "obs/probe.hpp"
@@ -159,6 +161,53 @@ TEST(Tracer, CapturesSpansAndExportsChromeJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"gain\""), std::string::npos);
+  tracer.clear();
+}
+
+TEST(Tracer, SpanNamesOutliveTheirBlock) {
+  // A traced campaign builds and drops one chain per trial, and exports
+  // the trace afterwards: span names must not point into dead blocks.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable(1 << 12);
+  {
+    rf::ToneSource source(1e6, 20e6, 0.5);
+    rf::Chain chain;
+    chain.add<rf::Gain>(-3.0);
+    chain.add<rf::AwgnChannel>(1e-4);
+    rf::run(source, chain, 2 * 1024, 1024);
+  }
+  tracer.disable();
+  // Reuse the freed blocks' memory before the names are read.
+  std::vector<std::string> scribble;
+  for (std::size_t n = 8; n <= 512; n += 8) {
+    for (int k = 0; k < 4; ++k) scribble.emplace_back(n, '#');
+  }
+
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 6u);
+  std::size_t tone = 0, gain = 0, awgn = 0;
+  for (const auto& e : events) {
+    ASSERT_NE(e.name, nullptr);
+    const std::string name(e.name);
+    tone += name == "tone";
+    gain += name == "gain";
+    awgn += name == "awgn";
+  }
+  EXPECT_EQ(tone, 2u);
+  EXPECT_EQ(gain, 2u);
+  EXPECT_EQ(awgn, 2u);
+
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  const std::string json = os.str();
+  for (const char* name : {"tone", "gain", "awgn"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(json.find('#'), std::string::npos);
+  // Equal names share one interned copy.
+  EXPECT_EQ(obs::intern("gain"), obs::intern(std::string("ga") + "in"));
   tracer.clear();
 }
 

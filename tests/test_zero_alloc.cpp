@@ -91,7 +91,7 @@ TEST(ZeroAlloc, ProbedAndTracedSteadyStateDoesNotAllocate) {
   // The observability layer must be allocation-free in steady state even
   // when fully on: counters, output hashing, and span recording into the
   // preallocated trace ring. Only the warm-up may allocate (buffers plus
-  // each block's cached trace label).
+  // each block's interned trace label).
   ToneSource source(1e6, 20e6, 0.7);
   Chain chain;
   chain.add<Gain>(-3.0);

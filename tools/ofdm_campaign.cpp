@@ -3,7 +3,7 @@
 //
 //   ofdm_campaign <deck-file> [--threads N] [--out PREFIX]
 //                 [--checkpoint FILE] [--resume]
-//                 [--halt-after-rounds N] [--quiet]
+//                 [--halt-after-rounds N] [--trace FILE] [--quiet]
 //
 // Reads the deck, expands the standard x channel x SNR grid, sweeps it
 // under the work-stealing scheduler, and writes <PREFIX>.json and
@@ -12,6 +12,9 @@
 // campaign state persists at every round boundary; --resume picks an
 // interrupted sweep up exactly where it stopped. --halt-after-rounds
 // simulates a mid-run kill for the CI resume check (exit code 3).
+// --trace FILE records obs::Tracer spans (every chain block of every
+// trial, the transmitter) for the run and writes them as Chrome trace
+// JSON; the curves are the same bytes as an untraced run.
 // --list-channels prints the named channel-model presets a deck's
 // channel= key accepts (beyond awgn/multipath/twisted_pair) and exits.
 // --list-rx prints the receiver instance the RX Mother Model
@@ -30,6 +33,7 @@
 
 #include "core/profiles.hpp"
 #include "core/standard.hpp"
+#include "obs/trace.hpp"
 #include "rf/channels/registry.hpp"
 #include "rx/mother/descriptor.hpp"
 #include "sim/aggregator.hpp"
@@ -57,7 +61,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s <deck-file> [--threads N] [--out PREFIX]\n"
       "          [--checkpoint FILE] [--resume] [--halt-after-rounds N]\n"
-      "          [--quiet]\n"
+      "          [--trace FILE] [--quiet]\n"
       "       %s --list-channels\n"
       "       %s --list-rx\n",
       argv0, argv0, argv0);
@@ -104,6 +108,7 @@ int main(int argc, char** argv) {
   std::string deck_path;
   std::string out_prefix = "campaign";
   ofdm::sim::RunOptions opts;
+  std::string trace_path;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -125,6 +130,8 @@ int main(int argc, char** argv) {
       opts.resume = true;
     } else if (arg == "--halt-after-rounds") {
       opts.halt_after_rounds = std::strtoul(next(), nullptr, 10);
+    } else if (arg == "--trace") {
+      trace_path = next();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--list-channels") {
@@ -173,7 +180,17 @@ int main(int argc, char** argv) {
 
     install_stop_handlers();
     opts.cancel = &g_stop;
+    ofdm::obs::Tracer& tracer = ofdm::obs::Tracer::instance();
+    if (!trace_path.empty()) tracer.enable();
     const auto result = campaign.run(opts);
+    if (!trace_path.empty()) {
+      tracer.disable();
+      if (!tracer.write_chrome_trace_file(trace_path)) {
+        std::fprintf(stderr, "error: cannot write trace to %s\n",
+                     trace_path.c_str());
+        return 1;
+      }
+    }
 
     const std::string json_path = out_prefix + ".json";
     const std::string csv_path = out_prefix + ".csv";
