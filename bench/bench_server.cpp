@@ -4,7 +4,7 @@
 // campaign submissions, and end-to-end campaign trial throughput
 // through the job queue. Emits the JSON consumed by
 // bench/regress.py --server and gated against BENCH_server.json
-// (machine-relative, like --sim/--graph).
+// (machine-relative, like --sim).
 //
 // Usage:
 //   bench_server [--pings N] [--out FILE] [--quiet]

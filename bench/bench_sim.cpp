@@ -6,7 +6,7 @@
 // only the work-stealing schedule, which also double-checks the
 // thread-invariance contract on every bench run. The JSON goes to
 // BENCH_sim.json at the repo root and is gated by
-// bench/regress.py --sim (machine-relative, like --graph).
+// bench/regress.py --sim (machine-relative).
 //
 // Usage:
 //   bench_sim [--trials N] [--out FILE] [--quiet]

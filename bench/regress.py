@@ -21,18 +21,13 @@ block (e.g. "multipath in DVB-T") instead of a whole benchmark. The
 report's "kernels" section carries the same scalar-vs-SIMD speedup
 gate.
 
---graph runs bench_graph (end-to-end RF-graph throughput, sequential
-driver vs the pipeline-parallel executor at 2/4/8 stages) and compares
-each configuration's throughput against the BENCH_graph.json baseline.
-The gate is machine-relative on purpose: absolute pipeline speedup
-depends on the host's core count, so what CI enforces is that neither
-the sequential driver nor any executor configuration got slower
-relative to the checked-in numbers from the same environment.
-
 --sim runs bench_sim (the Monte-Carlo campaign engine sweeping a fixed
 802.11a AWGN workload at 1 worker vs all cores) and compares each
 configuration's trials-per-second against the BENCH_sim.json baseline.
-Like --graph, the gate is machine-relative.
+The gate is machine-relative on purpose: absolute multi-worker speedup
+depends on the host's core count, so what CI enforces is that no
+configuration got slower relative to the checked-in numbers from the
+same environment.
 
 --rx runs bench_rx (the RX Mother Model's per-standard stage
 throughput: synchronize, estimate_equalizer, the SIMD soft-demap
@@ -55,7 +50,6 @@ Usage:
     python3 bench/regress.py [--build-dir build] [--tolerance 0.15]
                              [--min-time 1] [--check-only]
     python3 bench/regress.py --blocks [--tolerance 0.35] [--check-only]
-    python3 bench/regress.py --graph [--tolerance 0.35] [--check-only]
     python3 bench/regress.py --sim [--tolerance 0.35] [--check-only]
     python3 bench/regress.py --rx [--tolerance 0.35] [--check-only]
     python3 bench/regress.py --server [--tolerance 0.50] [--check-only]
@@ -70,7 +64,6 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_e5.json"
 BLOCKS_FILE = REPO_ROOT / "BENCH_blocks.json"
-GRAPH_FILE = REPO_ROOT / "BENCH_graph.json"
 SIM_FILE = REPO_ROOT / "BENCH_sim.json"
 RX_FILE = REPO_ROOT / "BENCH_rx.json"
 SERVER_FILE = REPO_ROOT / "BENCH_server.json"
@@ -293,11 +286,6 @@ gating:
                     help="per-block attribution mode: run "
                          "bench_report_blocks and compare each block's "
                          "throughput against BENCH_blocks.json")
-    ap.add_argument("--graph", action="store_true",
-                    help="graph-executor mode: run bench_graph "
-                         "(sequential vs 2/4/8 pipeline stages) and "
-                         "compare each configuration's throughput "
-                         "against BENCH_graph.json")
     ap.add_argument("--sim", action="store_true",
                     help="campaign-engine mode: run bench_sim (fixed "
                          "802.11a AWGN sweep, 1 worker vs all cores) and "
@@ -315,8 +303,8 @@ gating:
                          "configuration's ops/s against "
                          "BENCH_server.json")
     ap.add_argument("--samples", type=int, default=1 << 20,
-                    help="samples per standard in --blocks mode / total "
-                         "samples in --graph mode (default: 1048576)")
+                    help="samples per standard in --blocks mode "
+                         "(default: 1048576)")
     ap.add_argument("--trials", type=int, default=96,
                     help="Monte-Carlo trials per grid point in --sim "
                          "mode (default: 96)")
@@ -325,9 +313,8 @@ gating:
                          "(default: 16)")
     args = ap.parse_args()
 
-    if sum([args.blocks, args.graph, args.sim, args.rx,
-            args.server]) > 1:
-        ap.error("--blocks, --graph, --sim, --rx, and --server are "
+    if sum([args.blocks, args.sim, args.rx, args.server]) > 1:
+        ap.error("--blocks, --sim, --rx, and --server are "
                  "mutually exclusive")
 
     build_dir = REPO_ROOT / args.build_dir
@@ -356,14 +343,7 @@ gating:
         extract = rows_configs("trials_per_second")
         unit = "trials/s"
         # Single-run wall times under thread scheduling: widen the
-        # default gate the same way --blocks and --graph do.
-        tolerance = max(args.tolerance, 0.35)
-    elif args.graph:
-        report = run_exe(build_dir, "bench_graph",
-                         ["--samples", str(args.samples)])
-        baseline_file = GRAPH_FILE
-        extract = rows_configs("msps")
-        unit = "Msps"
+        # default gate the same way --blocks does.
         tolerance = max(args.tolerance, 0.35)
     elif args.blocks:
         report = run_exe(build_dir, "bench_report_blocks",

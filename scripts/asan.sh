@@ -8,7 +8,9 @@
 # chain — exactly where lifetime and aliasing bugs hide. This job builds
 # those tests in a separate tree with -fsanitize=address,undefined and
 # runs them under ctest, so a use-after-free or UB in the containment
-# machinery fails loudly even when the plain suite passes.
+# machinery fails loudly even when the plain suite passes. The
+# fault-injection blocks themselves live in tests/support
+# (ofdm_test_support), which test_guard and test_fault link.
 #
 # test_state_fuzz runs the corpus fuzz of the OFDMSNAP / OFDMCAMP
 # decoders here because overreads off corrupt length fields are exactly
@@ -31,10 +33,10 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "${build}" -j \
-  --target test_guard test_fault test_snapshot test_rf test_channels \
-  test_state_fuzz test_net test_simd test_netlist_fading \
-  test_streaming_invariance test_obs
+cmake --build "${build}" -j "$(nproc)" \
+  --target ofdm_test_support test_guard test_fault test_snapshot \
+  test_rf test_channels test_state_fuzz test_net test_simd \
+  test_netlist_fading test_streaming_invariance test_obs
 ctest --test-dir "${build}" \
   -R '^(test_guard|test_fault|test_snapshot|test_rf|test_channels|test_state_fuzz|test_net|test_simd|test_netlist_fading|test_streaming_invariance|test_obs)$' \
   --output-on-failure "$@"

@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
 # Release + ThreadSanitizer run of the repo's concurrent code paths.
 #
-# Three worker pools exist: the SymbolPipeline (threaded transmitter),
-# the pipeline-parallel graph executor (SPSC chunk queues + recycling
-# slot pools, rf/executor/), and the campaign engine's work-stealing
-# scheduler (sim/scheduler). This job builds their test suites in a
-# separate build tree with -fsanitize=thread and runs them under ctest,
-# so data races in the claim cursor / batch hand-off / completion wait
-# (pipeline), queue indices / slot recycling / pass-through swaps /
-# observed calls from worker stages (executor — test_executor drives a
-# deep netlist with fan-in, guards and probes under 4 stages), and deque
+# Two worker pools exist: the SymbolPipeline (threaded transmitter) and
+# the campaign engine's work-stealing scheduler (sim/scheduler). This
+# job builds their test suites in a separate build tree with
+# -fsanitize=thread and runs them under ctest, so data races in the
+# claim cursor / batch hand-off / completion wait (pipeline) and deque
 # stealing / round reduction / checkpoint writes (test_sim runs
 # campaigns at 1–4 threads) are caught even when the plain test suite
 # passes. test_net adds the service daemon on top: thread-per-connection
@@ -27,7 +23,8 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "${build}" -j --target test_pipeline test_transmitter test_executor test_sim test_channels test_net test_fft
+cmake --build "${build}" -j "$(nproc)" \
+  --target test_pipeline test_transmitter test_sim test_channels test_net test_fft
 ctest --test-dir "${build}" \
-  -R '^(test_pipeline|test_transmitter|test_executor|test_sim|test_channels|test_net|test_fft)$' \
+  -R '^(test_pipeline|test_transmitter|test_sim|test_channels|test_net|test_fft)$' \
   --output-on-failure "$@"

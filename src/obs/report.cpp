@@ -36,13 +36,6 @@ Report Report::from(const ProbeSet& probes, double total_seconds) {
   return r;
 }
 
-Report Report::from(const ProbeSet& probes, double total_seconds,
-                    std::vector<StageStats> stage_stats) {
-  Report r = from(probes, total_seconds);
-  r.stages = std::move(stage_stats);
-  return r;
-}
-
 std::string Report::table() const {
   std::string out;
   char line[256];
@@ -65,21 +58,6 @@ std::string Report::table() const {
                 100.0 * attributed_fraction(), total_seconds * 1e3,
                 rows.size(), probe_seconds * 1e3);
   out += line;
-  if (!stages.empty()) {
-    std::snprintf(line, sizeof(line), "%-10s %7s %10s %12s %12s %7s\n",
-                  "stage", "items", "chunks", "busy_ms", "stall_ms",
-                  "busy%");
-    out += line;
-    for (const StageStats& s : stages) {
-      const double span = s.busy_seconds + s.stall_seconds;
-      std::snprintf(line, sizeof(line),
-                    "%-10s %7zu %10" PRIu64 " %12.3f %12.3f %6.1f%%\n",
-                    s.name.c_str(), s.blocks, s.chunks,
-                    s.busy_seconds * 1e3, s.stall_seconds * 1e3,
-                    span > 0.0 ? 100.0 * s.busy_seconds / span : 0.0);
-      out += line;
-    }
-  }
   return out;
 }
 
@@ -110,20 +88,6 @@ std::string Report::to_json() const {
     out += buf;
   }
   out += "\n ]";
-  if (!stages.empty()) {
-    out += ",\n \"stages\": [";
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      const StageStats& s = stages[i];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n  {\"name\": \"%s\", \"blocks\": %zu"
-                    ", \"chunks\": %" PRIu64
-                    ", \"busy_seconds\": %.9f, \"stall_seconds\": %.9f}",
-                    i == 0 ? "" : ",", s.name.c_str(), s.blocks, s.chunks,
-                    s.busy_seconds, s.stall_seconds);
-      out += buf;
-    }
-    out += "\n ]";
-  }
   out += "\n}\n";
   return out;
 }

@@ -12,18 +12,6 @@
 
 namespace ofdm::obs {
 
-/// Wall-time attribution for one pipeline-executor stage: how long its
-/// thread spent doing work (source pulls + block processing) versus
-/// stalled on a stage-boundary queue (waiting for input, or for a free
-/// slot when backpressure from a slower consumer bites).
-struct StageStats {
-  std::string name;            ///< "stage0", "stage1", ...
-  std::size_t blocks = 0;      ///< work items (sources + blocks) owned
-  std::uint64_t chunks = 0;    ///< chunks completed
-  double busy_seconds = 0.0;   ///< source + block processing time
-  double stall_seconds = 0.0;  ///< blocked on queue pop/acquire
-};
-
 struct Report {
   struct Row {
     std::string name;
@@ -39,9 +27,6 @@ struct Report {
   };
 
   std::vector<Row> rows;
-  /// Per-stage busy/stall attribution when the run used the pipeline
-  /// executor (RunStats::stages); empty for sequential runs.
-  std::vector<StageStats> stages;
   double total_seconds = 0.0;       ///< wall time of the attributed run
   double attributed_seconds = 0.0;  ///< per-block busy + probe overhead
   double probe_seconds = 0.0;       ///< observer cost (scan + hashing)
@@ -53,11 +38,6 @@ struct Report {
   /// Build a report from a probe set and the run's wall time (e.g.
   /// RunStats::elapsed_seconds). Rows keep registration order.
   static Report from(const ProbeSet& probes, double total_seconds);
-
-  /// As above, also attaching the pipeline executor's per-stage
-  /// busy/stall attribution (pass RunStats::stages).
-  static Report from(const ProbeSet& probes, double total_seconds,
-                     std::vector<StageStats> stage_stats);
 
   /// Fixed-width table, one row per block, with an attribution footer.
   std::string table() const;

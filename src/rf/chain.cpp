@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/serial.hpp"
-#include "rf/executor/executor.hpp"
 
 namespace ofdm::rf {
 
@@ -81,22 +80,10 @@ void Chain::load_state(StateReader& r) {
 }
 
 RunStats run(Source& source, Chain& chain, std::size_t total,
-             std::size_t chunk, const RunOptions& opts) {
+             std::size_t chunk) {
   using clock = std::chrono::steady_clock;
   OFDM_REQUIRE(chunk > 0 || total == 0,
                "rf::run: chunk size must be positive");
-  if (opts.threads > 1 && chain.size() >= 1 && total > 0) {
-    // Pipeline-parallel path: source + blocks as a linear topo order.
-    std::vector<exec::WorkItem> items(chain.size() + 1);
-    items.front().source = &source;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      items[i + 1].block = &chain.at(i);
-      items[i + 1].inputs.push_back(i);
-    }
-    items.back().leaf = true;
-    exec::PipelineExecutor executor(std::move(items), opts);
-    return executor.run(total, chunk);
-  }
   RunStats stats;
   const auto t0 = clock::now();
   cvec in;

@@ -6,9 +6,7 @@
 #include <span>
 #include <vector>
 
-#include "obs/report.hpp"
 #include "rf/block.hpp"
-#include "rf/executor/run_options.hpp"
 #include "rf/guard.hpp"
 
 namespace ofdm::rf {
@@ -47,8 +45,8 @@ class Chain : public Block {
 
   std::size_t size() const { return blocks_.size(); }
 
-  /// The i-th contained block (the pipeline executor partitions the
-  /// chain through this; also handy for inspection).
+  /// The i-th contained block, for inspection or for driving one block
+  /// of the chain on its own.
   Block& at(std::size_t i) { return *blocks_.at(i); }
   const Block& at(std::size_t i) const { return *blocks_.at(i); }
 
@@ -80,12 +78,7 @@ struct RunStats {
   std::size_t samples_out = 0;
   double elapsed_seconds = 0.0;     ///< wall-clock simulation time
   double source_seconds = 0.0;      ///< time spent inside the source
-  /// Cumulative time inside block processing (all threads summed), so
-  /// an executor speedup shows up as elapsed_seconds shrinking while
-  /// block_seconds stays put.
-  double block_seconds = 0.0;
-  /// Per-stage busy/stall attribution; empty for sequential runs.
-  std::vector<obs::StageStats> stages;
+  double block_seconds = 0.0;       ///< time inside block processing
 };
 
 /// Pull `total` samples from `source`, push them through `chain` in
@@ -94,12 +87,7 @@ struct RunStats {
 /// and the rest of the chain is what experiment E2 measures ("the
 /// digital block had only negligible influence on the total simulation
 /// time").
-///
-/// With opts.threads > 1 the source + chain are partitioned into
-/// pipeline stages on worker threads connected by bounded SPSC chunk
-/// queues (rf/executor/executor.hpp); the output stream is bit-identical
-/// to the sequential default either way.
 RunStats run(Source& source, Chain& chain, std::size_t total,
-             std::size_t chunk = 4096, const RunOptions& opts = {});
+             std::size_t chunk = 4096);
 
 }  // namespace ofdm::rf

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/serial.hpp"
-#include "rf/executor/executor.hpp"
 
 namespace ofdm::rf {
 
@@ -68,8 +67,7 @@ std::vector<std::size_t> Netlist::topo_order() const {
   return order;
 }
 
-RunStats Netlist::run(std::size_t total, std::size_t chunk,
-                      const RunOptions& opts) {
+RunStats Netlist::run(std::size_t total, std::size_t chunk) {
   using clock = std::chrono::steady_clock;
   OFDM_REQUIRE(chunk > 0 || total == 0,
                "Netlist::run: chunk size must be positive");
@@ -80,29 +78,6 @@ RunStats Netlist::run(std::size_t total, std::size_t chunk,
   std::vector<std::size_t> consumers(nodes_.size(), 0);
   for (const Node& node : nodes_) {
     for (std::size_t src : node.inputs) ++consumers[src];
-  }
-
-  if (opts.threads > 1 && nodes_.size() > 1 && total > 0) {
-    // Pipeline-parallel path: hand the topo order to the executor with
-    // node ids remapped to topo positions.
-    std::vector<std::size_t> pos_of(nodes_.size());
-    for (std::size_t i = 0; i < order.size(); ++i) pos_of[order[i]] = i;
-    std::vector<exec::WorkItem> items(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      Node& node = nodes_[order[i]];
-      if (node.is_source()) {
-        items[i].source = node.source.get();
-      } else {
-        items[i].block = node.block.get();
-        items[i].inputs.reserve(node.inputs.size());
-        for (std::size_t src : node.inputs) {
-          items[i].inputs.push_back(pos_of[src]);
-        }
-      }
-      items[i].leaf = consumers[order[i]] == 0;
-    }
-    exec::PipelineExecutor executor(std::move(items), opts);
-    return executor.run(total, chunk);
   }
 
   RunStats stats;

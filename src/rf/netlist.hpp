@@ -53,15 +53,7 @@ class Netlist {
   /// block inputs, or mismatched fan-in lengths (e.g. summing across a
   /// rate changer). RunStats::samples_out accumulates what leaves leaf
   /// nodes (no consumers) per chunk.
-  ///
-  /// With opts.threads > 1 the topo order is partitioned into pipeline
-  /// stages on worker threads connected by bounded SPSC chunk queues
-  /// (rf/executor/executor.hpp); every stream is bit-identical to the
-  /// sequential default, and run() returns only after the pipeline has
-  /// drained and every worker joined, so snapshot()/restore() between
-  /// runs stay bit-identical.
-  RunStats run(std::size_t total, std::size_t chunk = 4096,
-               const RunOptions& opts = {});
+  RunStats run(std::size_t total, std::size_t chunk = 4096);
 
   /// Reset every node's streaming state.
   void reset();

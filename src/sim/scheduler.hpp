@@ -1,10 +1,9 @@
 // Work-stealing task pool for the campaign engine.
 //
-// The RF graph executor (rf/executor) pins one *stage* per thread
-// because block state forces stream order; a campaign's unit of work is
-// the opposite — thousands of independent trial batches — so here each
-// worker owns a deque (LIFO for its own work, FIFO for thieves) and
-// idle workers steal from the others. Determinism never depends on the
+// A campaign's unit of work is a trial batch, and batches are
+// independent (an RF graph's block state forces stream order only
+// inside one trial), so each worker owns a deque (LIFO for its own
+// work, FIFO for thieves) and idle workers steal from the others. Determinism never depends on the
 // schedule: tasks are pure functions of their indices and the campaign
 // reduces their results in index order.
 //

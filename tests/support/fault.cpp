@@ -1,4 +1,4 @@
-#include "rf/fault.hpp"
+#include "support/fault.hpp"
 
 #include <limits>
 #include <thread>

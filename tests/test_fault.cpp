@@ -12,10 +12,10 @@
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "obs/stream_hash.hpp"
-#include "rf/fault.hpp"
 #include "rf/netlist.hpp"
 #include "rf/pa.hpp"
 #include "rf/submodel.hpp"
+#include "support/fault.hpp"
 
 namespace ofdm::rf {
 namespace {

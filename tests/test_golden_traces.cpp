@@ -242,28 +242,6 @@ TEST_P(GoldenTraces, GraphRunMatchesCheckedInHash) {
       << "intentional, regenerate with: test_golden_traces --regen";
 }
 
-// The pipeline-parallel executor must reproduce the checked-in graph
-// digest exactly: same blocks, same chunking, four stages with a
-// shallow queue. The last block's probe hashes the graph output stream,
-// which is precisely what golden_graph_hash() folds.
-TEST_P(GoldenTraces, ParallelExecutorMatchesCheckedInGraphHash) {
-  const std::string name = core::standard_name(GetParam());
-  const GoldenEntry* golden = find_golden(name);
-  ASSERT_NE(golden, nullptr)
-      << name << " missing from golden_traces.inc -- rerun with --regen";
-
-  GoldenGraph g(GetParam());
-  obs::ProbeSet probes({.measure_signal = false, .hash_output = true});
-  g.chain.attach_probes(probes);
-  rf::run(g.source, g.chain,
-          GoldenGraph::kGraphChunk * GoldenGraph::kGraphChunks,
-          GoldenGraph::kGraphChunk, {.threads = 4, .queue_depth = 2});
-  ASSERT_EQ(probes.size(), 4u);
-  EXPECT_EQ(probes.at(3).output_hash(), golden->graph_hash)
-      << name << ": pipeline-parallel stream diverged from the golden "
-      << "sequential digest";
-}
-
 // The checkpoint/restore acceptance test: interrupt the golden graph at
 // a chunk boundary, snapshot it, restore the snapshot into a *freshly
 // built* graph, finish the run there — and require the concatenated

@@ -13,11 +13,11 @@
 #include "core/profiles.hpp"
 #include "obs/stream_hash.hpp"
 #include "rf/chain.hpp"
-#include "rf/fault.hpp"
 #include "rf/guard.hpp"
 #include "rf/impairments.hpp"
 #include "rf/pa.hpp"
 #include "rf/submodel.hpp"
+#include "support/fault.hpp"
 
 namespace ofdm::rf {
 namespace {
@@ -175,6 +175,24 @@ TEST(GuardPolicy, GuardSetSuffixesDuplicateNames) {
   EXPECT_NE(guards.find("awgn"), nullptr);
   EXPECT_EQ(guards.find("gain#3"), nullptr);
   EXPECT_EQ(guards.at(1).position(), 1u);
+}
+
+/// A Throw-policy fault must leave the chain usable: the same chain,
+/// re-guarded under kZero, keeps streaming from where it stopped.
+TEST(GuardPolicy, ChainKeepsRunningUnderZeroGuardAfterAThrow) {
+  FaultyGraph g(core::Standard::kWlan80211a, FlakyBlock::Fault::kNaN);
+  {
+    GuardSet guards({.policy = GuardPolicy::kThrow});
+    g.chain.attach_guards(guards);
+    EXPECT_THROW(run(g.source, g.chain, kChunks * kChunk, kChunk),
+                 StreamError);
+    g.chain.detach_guards();
+  }
+  GuardSet relaxed({.policy = GuardPolicy::kZero});
+  g.chain.attach_guards(relaxed);
+  const RunStats stats = run(g.source, g.chain, 4 * kChunk, kChunk);
+  EXPECT_EQ(stats.samples_out, 4 * kChunk);
+  EXPECT_EQ(relaxed.total_repairs(), 4 / kEvery);
 }
 
 TEST(GuardPolicy, DetachedGuardLeavesStreamAlone) {

@@ -11,6 +11,7 @@
 #include "rf/channel.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
+#include "rf/netlist.hpp"
 #include "rf/pa.hpp"
 #include "rf/sinks.hpp"
 #include "rf/submodel.hpp"
@@ -277,6 +278,59 @@ TEST(Chain, RunReportsSampleCounts) {
   EXPECT_EQ(stats.samples_out, 10000u);
   EXPECT_EQ(meter.samples(), 10000u);
   EXPECT_GE(stats.elapsed_seconds, stats.source_seconds);
+}
+
+/// Regression for the samples_out accounting bug: the old code summed
+/// every node's buffer once after the loop, reporting only the final
+/// chunk and counting interior nodes.
+TEST(RunStats, NetlistSamplesOutAccumulatesLeafOutputPerChunk) {
+  Netlist net;
+  const auto src = net.add_source<ToneSource>(1e6, 20e6, 0.5);
+  const auto gain = net.add_block<Gain>(-3.0);
+  net.connect(src, gain);
+  const auto meter = net.add_block<PowerMeter>();
+  net.connect(gain, meter);
+
+  const std::size_t total = 4 * 1024;  // total > chunk
+  const RunStats stats = net.run(total, 1024);
+  // One leaf (the meter), 1:1 rate: all chunks accumulate, interior
+  // nodes (gain) and the source do not count.
+  EXPECT_EQ(stats.samples_out, total);
+  EXPECT_EQ(stats.samples_in, total);
+}
+
+TEST(RunStats, SourceAndBlockSecondsAreAttributed) {
+  Submodel src(core::profile_for(core::Standard::kHomePlug), 31, 7);
+  Chain chain;
+  chain.add<Gain>(-3.0);
+  chain.add<MultipathChannel>(exponential_pdp_taps(1.5, 4, 7));
+  chain.add<SoftClipPa>(0.9);
+  const RunStats s0 = run(src, chain, 8 * 997, 997);
+  EXPECT_GT(s0.block_seconds, 0.0);
+  EXPECT_GT(s0.source_seconds, 0.0);
+
+  // Summing fan-in of two tones into a gain and a meter.
+  Netlist net;
+  const auto tone_a = net.add_source<ToneSource>(1e6, 20e6, 0.5);
+  const auto tone_b = net.add_source<ToneSource>(3e6, 20e6, 0.25);
+  const auto mix = net.add_block<Gain>(0.0);
+  net.connect(tone_a, mix);
+  net.connect(tone_b, mix);
+  const auto meter = net.add_block<PowerMeter>();
+  net.connect(mix, meter);
+  const RunStats s1 = net.run(8 * 997, 997);
+  EXPECT_GT(s1.block_seconds, 0.0);
+  EXPECT_GT(s1.source_seconds, 0.0);
+}
+
+TEST(RunStats, ZeroTotalIsANoOp) {
+  ToneSource src(1e6, 20e6, 0.5);
+  Chain chain;
+  auto& meter = chain.add<PowerMeter>();
+  const RunStats stats = run(src, chain, 0, 997);
+  EXPECT_EQ(stats.samples_in, 0u);
+  EXPECT_EQ(stats.samples_out, 0u);
+  EXPECT_EQ(meter.samples(), 0u);
 }
 
 TEST(SpectrumSink, SeesOccupiedBand) {

@@ -210,28 +210,6 @@ TEST(ZeroAlloc, NetlistSteadyStateDoesNotAllocate) {
   EXPECT_EQ(short_run, long_run);
 }
 
-TEST(ZeroAlloc, PipelineExecutorSteadyStateDoesNotAllocate) {
-  // The pipeline-parallel executor front-loads all queue/slot-pool/
-  // stage allocations before the workers start; in steady state chunks
-  // circulate through recycled slots and pass-through forwarding is a
-  // buffer swap. Proxy as for the netlist: a fresh parallel run of N
-  // chunks and one of 4N chunks must allocate the same amount.
-  ToneSource source(1e6, 20e6, 0.7);
-  Chain chain;
-  chain.add<Gain>(-6.0);
-  chain.add<PhaseNoise>(50.0, 20e6);
-  chain.add<RappPa>(2.0, 1.0);
-  chain.add<PowerMeter>();
-
-  const RunOptions opts{.threads = 3, .queue_depth = 4};
-  run(source, chain, 4 * 4096, 4096, opts);  // warm-up
-  const std::size_t short_run = count_allocs(
-      [&] { run(source, chain, 4 * 4096, 4096, opts); });
-  const std::size_t long_run = count_allocs(
-      [&] { run(source, chain, 16 * 4096, 4096, opts); });
-  EXPECT_EQ(short_run, long_run);
-}
-
 TEST(ZeroAlloc, EmptyChainPassesThroughWithOneAssign) {
   Chain chain;
   cvec in(1024, cplx{0.5, -0.5});
