@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Release + ThreadSanitizer run of the repo's concurrent code paths.
 #
-# Two worker pools exist: the SymbolPipeline (threaded transmitter) and
-# the campaign engine's work-stealing scheduler (sim/scheduler). This
-# job builds their test suites in a separate build tree with
-# -fsanitize=thread and runs them under ctest, so data races in the
-# claim cursor / batch hand-off / completion wait (pipeline) and deque
-# stealing / round reduction / checkpoint writes (test_sim runs
-# campaigns at 1–4 threads) are caught even when the plain test suite
-# passes. test_net adds the service daemon on top: thread-per-connection
-# sessions, the executor pool behind the job queue, cooperative
-# cancellation, drain/recovery hand-off, and concurrent multi-client
-# loopback traffic all run under TSan here. test_fft hammers the
-# process-wide FFT plan-table cache (mutex + shared_ptr hand-off, with
-# a mid-flight clear()) from concurrent plan builders/executors.
+# One worker pool is left: the campaign engine's work-stealing
+# scheduler (sim/scheduler). The transmitter and the RF graph run
+# sequentially; parallelism lives across trials. This job builds the
+# concurrent suites in a separate build tree with -fsanitize=thread and
+# runs them under ctest, so data races in deque stealing / round
+# reduction / checkpoint writes (test_sim runs campaigns at 1–4
+# threads) are caught even when the plain test suite passes. test_net
+# adds the service daemon on top: thread-per-connection sessions, the
+# executor pool behind the job queue, cooperative cancellation,
+# drain/recovery hand-off, and concurrent multi-client loopback traffic
+# all run under TSan here. test_fft hammers the process-wide FFT
+# plan-table cache (mutex + shared_ptr hand-off, with a mid-flight
+# clear()) from concurrent plan builders/executors. test_channels starts
+# no thread of its own; it rides along as a cheap check of the channel
+# library built with the sanitizer.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -24,7 +26,7 @@ cmake -B "${build}" -S "${repo}" \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${build}" -j "$(nproc)" \
-  --target test_pipeline test_transmitter test_sim test_channels test_net test_fft
+  --target test_sim test_channels test_net test_fft
 ctest --test-dir "${build}" \
-  -R '^(test_pipeline|test_transmitter|test_sim|test_channels|test_net|test_fft)$' \
+  -R '^(test_sim|test_channels|test_net|test_fft)$' \
   --output-on-failure "$@"

@@ -7,7 +7,11 @@
 #include "dsp/window.hpp"
 
 namespace ofdm::core {
+namespace {
 
+/// Build the full FFT-size frequency vector from data and pilot tone
+/// values into `freq`, resizing it to p.fft_size, with Hermitian
+/// mirroring when the configuration asks for a real output signal.
 void assemble_spectrum(const OfdmParams& p, const ToneLayout& layout,
                        std::span<const cplx> data_values,
                        std::span<const cplx> pilot_values, cvec& freq) {
@@ -29,6 +33,8 @@ void assemble_spectrum(const OfdmParams& p, const ToneLayout& layout,
     }
   }
 }
+
+}  // namespace
 
 Modulator::Modulator(const OfdmParams& params, const ToneLayout& layout)
     : params_(params),
@@ -54,46 +60,27 @@ cvec Modulator::assemble(std::span<const cplx> data_values,
   return freq;
 }
 
-void Modulator::transform(std::span<const cplx> freq_bins,
-                          cvec& body) const {
+void Modulator::emit(std::span<const cplx> freq_bins, cvec& out) {
+  const std::size_t cp = params_.cp_len;
+  const std::size_t ramp = params_.window_ramp;
   OFDM_REQUIRE_DIM(freq_bins.size() == params_.fft_size,
                    "Modulator::emit: frequency vector size mismatch");
-  body.resize(params_.fft_size);
+
   // The tone scale rides along inside the IFFT's own output pass; the
   // Hermitian (real-output) configurations take the half-size fast path.
   if (params_.hermitian) {
-    fft_.inverse_hermitian(freq_bins, body, scale_);
+    fft_.inverse_hermitian(freq_bins, body_, scale_);
   } else {
-    fft_.inverse(freq_bins, body, scale_);
+    fft_.inverse(freq_bins, body_, scale_);
   }
-}
-
-void Modulator::emit(std::span<const cplx> freq_bins, cvec& out) {
-  transform(freq_bins, body_);
-  emit_body(body_, out);
-}
-
-void Modulator::modulate_symbol(std::span<const cplx> data_values,
-                                std::span<const cplx> pilot_values,
-                                cvec& out) {
-  assemble_spectrum(params_, layout_, data_values, pilot_values, freq_);
-  emit(freq_, out);
-}
-
-void Modulator::emit_body(std::span<const cplx> body, cvec& out) {
-  const std::size_t n = params_.fft_size;
-  const std::size_t cp = params_.cp_len;
-  const std::size_t ramp = params_.window_ramp;
-  OFDM_REQUIRE_DIM(body.size() == n,
-                   "Modulator::emit_body: body size mismatch");
 
   // Extended symbol, written straight into the output vector: cyclic
   // prefix + body. The cyclic suffix (ramp) never materializes in `out`;
   // it goes directly into the overlap-add tail below.
   const std::size_t start = out.size();
-  out.insert(out.end(), body.end() - static_cast<std::ptrdiff_t>(cp),
-             body.end());
-  out.insert(out.end(), body.begin(), body.end());
+  out.insert(out.end(), body_.end() - static_cast<std::ptrdiff_t>(cp),
+             body_.end());
+  out.insert(out.end(), body_.begin(), body_.end());
 
   if (ramp > 0) {
     cplx* ext = out.data() + start;
@@ -105,9 +92,16 @@ void Modulator::emit_body(std::span<const cplx> body, cvec& out) {
     // Our own windowed suffix becomes the next symbol's tail.
     tail_.resize(ramp);
     for (std::size_t i = 0; i < ramp; ++i) {
-      tail_[i] = body[i] * (1.0 - ramp_[i]);     // falling edge (suffix)
+      tail_[i] = body_[i] * (1.0 - ramp_[i]);    // falling edge (suffix)
     }
   }
+}
+
+void Modulator::modulate_symbol(std::span<const cplx> data_values,
+                                std::span<const cplx> pilot_values,
+                                cvec& out) {
+  assemble_spectrum(params_, layout_, data_values, pilot_values, freq_);
+  emit(freq_, out);
 }
 
 void Modulator::emit_silence(std::size_t n, cvec& out) {

@@ -18,15 +18,6 @@
 
 namespace ofdm::core {
 
-/// Build the full FFT-size frequency vector from data and pilot tone
-/// values (ascending logical-frequency order each) into `freq`, resizing
-/// it to p.fft_size. Applies Hermitian mirroring when the configuration
-/// asks for a real output signal. Shared by Modulator::assemble and the
-/// parallel SymbolPipeline so both produce bit-identical spectra.
-void assemble_spectrum(const OfdmParams& p, const ToneLayout& layout,
-                       std::span<const cplx> data_values,
-                       std::span<const cplx> pilot_values, cvec& freq);
-
 class Modulator {
  public:
   Modulator(const OfdmParams& params, const ToneLayout& layout);
@@ -46,19 +37,9 @@ class Modulator {
 
   /// assemble() + emit() without materializing a fresh frequency vector:
   /// the spectrum is built in a reusable member buffer. Bit-identical to
-  /// the two-step path; this is the batched transmit hot path.
+  /// the two-step path; this is the Transmitter's per-symbol path.
   void modulate_symbol(std::span<const cplx> data_values,
                        std::span<const cplx> pilot_values, cvec& out);
-
-  /// IFFT one assembled frequency vector into the scaled time-domain
-  /// body (fft_size samples), without the cyclic extension. This is the
-  /// per-symbol work the SymbolPipeline farms out to worker threads.
-  void transform(std::span<const cplx> freq_bins, cvec& body) const;
-
-  /// Append the cyclic extension + windowed body for an already
-  /// transformed symbol (exactly what emit() does after its IFFT).
-  /// Sequential: carries the overlap-add tail from symbol to symbol.
-  void emit_body(std::span<const cplx> body, cvec& out);
 
   /// Append n zero samples (DAB null symbol), overlap-adding any pending
   /// window tail.

@@ -42,8 +42,6 @@ void validate(const OfdmParams& p) {
                "OfdmParams: window ramp cannot exceed the cyclic prefix");
   OFDM_REQUIRE(p.frame.symbols_per_frame >= 1,
                "OfdmParams: need at least one symbol per frame");
-  OFDM_REQUIRE(p.threads >= 1,
-               "OfdmParams: threads must be >= 1 (the caller counts)");
 
   if (p.hermitian) {
     OFDM_REQUIRE(p.tone_map[0] == ToneType::kNull,

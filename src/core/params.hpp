@@ -133,14 +133,6 @@ struct OfdmParams {
   /// simulator; the baseband model itself is centre-frequency agnostic.
   double nominal_rf_hz = 0.0;
 
-  // --- execution knobs ---------------------------------------------------
-  /// Worker threads for the per-symbol modulate pipeline (>= 1). This is
-  /// an execution knob, not part of the model surface: it never changes
-  /// the output (threads > 1 is bit-exact with threads == 1), so it is
-  /// excluded from parameter_count()/parameter_distance() and from the
-  /// serialized parameter files.
-  std::size_t threads = 1;
-
   // --- derived conveniences ---------------------------------------------
   double subcarrier_spacing_hz() const {
     return sample_rate / static_cast<double>(fft_size);

@@ -9,7 +9,6 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "core/preamble.hpp"
-#include "core/symbol_pipeline.hpp"
 #include "obs/trace.hpp"
 
 namespace ofdm::core {
@@ -18,7 +17,6 @@ struct Transmitter::State {
   OfdmParams params;
   ToneLayout layout;
   std::optional<Modulator> modulator;
-  std::optional<SymbolPipeline> pipeline;  ///< only when params.threads > 1
   std::optional<mapping::Constellation> constellation;
   std::optional<mapping::DmtMapper> dmt;
   std::optional<mapping::DifferentialMapper> diff;
@@ -83,10 +81,6 @@ void Transmitter::configure(OfdmParams params) {
   if (p.fec.conv_enabled) s->conv.emplace(p.fec.conv);
   if (p.fec.rs_enabled) s->rs.emplace(p.fec.rs_n, p.fec.rs_k);
   s->pilots.emplace(p.pilots, s->layout.pilot_bins.size());
-  if (p.threads > 1) {
-    s->pipeline.emplace(s->params, s->layout,
-                        s->modulator->tone_scale(), p.threads);
-  }
 
   state_ = std::move(s);  // commit only after everything succeeded
 }
@@ -242,14 +236,6 @@ Transmitter::Burst Transmitter::modulate(
   return burst;
 }
 
-void Transmitter::modulate_batch(std::span<const bitvec> payloads,
-                                 std::vector<Burst>& bursts) {
-  bursts.resize(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    modulate_into(payloads[i], bursts[i]);
-  }
-}
-
 void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
                                 Burst& burst) {
   OFDM_REQUIRE(state_, kUnconfigured);
@@ -303,8 +289,7 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
 
   // 3. Payload symbols. Bits -> tone values is inherently sequential
   // (differential mapping and the pilot PRBS carry state from symbol to
-  // symbol); the assemble+IFFT step is not, and goes through the
-  // SymbolPipeline when threads > 1 — bit-exact with the inline path.
+  // symbol).
   //
   // Fixed-constellation configurations with no interleaving have no
   // per-symbol bit machinery at all, so the whole coded stream is
@@ -346,37 +331,17 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
     }
   };
 
-  if (s.pipeline && burst.data_symbols > 1) {
-    std::vector<SymbolPipeline::Symbol> jobs(burst.data_symbols);
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      if (block_map) {
-        jobs[sym].data.assign(
-            s.mapped_all.begin() +
-                static_cast<std::ptrdiff_t>(sym * n_data),
-            s.mapped_all.begin() +
-                static_cast<std::ptrdiff_t>((sym + 1) * n_data));
-      } else {
-        map_symbol_into(sym, jobs[sym].data);
-      }
-      jobs[sym].pilots = s.pilots->next_symbol();
+  for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
+    std::span<const cplx> data_values;
+    if (block_map) {
+      data_values = std::span<const cplx>(s.mapped_all)
+                        .subspan(sym * n_data, n_data);
+    } else {
+      map_symbol_into(sym, s.data_scratch);
+      data_values = s.data_scratch;
     }
-    s.pipeline->transform(jobs);
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      s.modulator->emit_body(jobs[sym].body, out);
-    }
-  } else {
-    for (std::size_t sym = 0; sym < burst.data_symbols; ++sym) {
-      std::span<const cplx> data_values;
-      if (block_map) {
-        data_values = std::span<const cplx>(s.mapped_all)
-                          .subspan(sym * n_data, n_data);
-      } else {
-        map_symbol_into(sym, s.data_scratch);
-        data_values = s.data_scratch;
-      }
-      const cvec pilot_values = s.pilots->next_symbol();
-      s.modulator->modulate_symbol(data_values, pilot_values, out);
-    }
+    const cvec pilot_values = s.pilots->next_symbol();
+    s.modulator->modulate_symbol(data_values, pilot_values, out);
   }
 
   s.modulator->flush(out);

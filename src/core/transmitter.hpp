@@ -72,12 +72,6 @@ class Transmitter {
   void modulate_into(std::span<const std::uint8_t> payload_bits,
                      Burst& burst);
 
-  /// Modulate a batch of payloads, reusing all internal scratch across
-  /// the batch. `bursts` is resized to match; each entry's buffers are
-  /// reused when already allocated.
-  void modulate_batch(std::span<const bitvec> payloads,
-                      std::vector<Burst>& bursts);
-
   /// Largest payload that fits frame.symbols_per_frame symbols exactly.
   std::size_t recommended_payload_bits() const;
 

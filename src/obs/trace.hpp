@@ -1,12 +1,11 @@
 // Scoped tracer with a fixed-capacity ring of span records.
 //
 // One process-wide Tracer instance collects {name, thread, start, dur}
-// spans from anywhere in the datapath: Transmitter::modulate, every
-// SymbolPipeline worker batch, and each observed Chain/Netlist block
-// call. Recording is lock-free (one fetch_add into a preallocated ring)
-// and allocation-free; when the ring wraps, the oldest spans are
-// overwritten — a trace is a window onto the tail of a run, which is
-// the steady state you want to look at anyway.
+// spans from anywhere in the datapath: Transmitter::modulate and each
+// observed Chain/Netlist block call. Recording is lock-free (one
+// fetch_add into a preallocated ring) and allocation-free; when the ring
+// wraps, the oldest spans are overwritten — a trace is a window onto the
+// tail of a run, which is the steady state you want to look at anyway.
 //
 // Zero overhead when off: an emitting site performs one relaxed atomic
 // load and skips both clock reads. Span names must be string literals

@@ -1,9 +1,8 @@
 // Guard-policy coverage across the whole standard family: a FlakyBlock
 // poisons the stream mid-chain and every policy must contain the fault
 // the way its contract says — Throw pins the faulting block and sample,
-// Zero repairs and counts, Report observes without touching, Clamp
-// limits, and the containment story is identical for sequential and
-// threaded transmitters.
+// Zero repairs and counts, Report observes without touching, and Clamp
+// limits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,15 +33,8 @@ struct FaultyGraph {
   Chain chain;
   FlakyBlock* flaky;
 
-  FaultyGraph(core::Standard standard, FlakyBlock::Fault fault,
-              std::size_t threads = 1)
-      : source(
-            [&] {
-              core::OfdmParams p = core::profile_for(standard);
-              p.threads = threads;
-              return p;
-            }(),
-            23, 0x51ED) {
+  FaultyGraph(core::Standard standard, FlakyBlock::Fault fault)
+      : source(core::profile_for(standard), 23, 0x51ED) {
     chain.add<Gain>(-1.0);
     flaky = &dynamic_cast<FlakyBlock&>(chain.add_ptr(
         std::make_unique<FlakyBlock>(std::make_unique<Gain>(0.0), kEvery,
@@ -100,24 +92,6 @@ TEST_P(GuardPolicies, ZeroPolicyRepairsCountsAndContains) {
   EXPECT_EQ(guards.at(0).faults(), 0u);  // upstream gain
   EXPECT_EQ(guards.at(2).faults(), 0u);  // downstream dc-offset
   EXPECT_EQ(guards.total_faults(), at_fault->faults());
-}
-
-TEST_P(GuardPolicies, SequentialAndThreadedRunsRepairIdentically) {
-  std::uint64_t digest[2] = {};
-  std::uint64_t repairs[2] = {};
-  const std::size_t threads[2] = {1, 4};
-  for (int pass = 0; pass < 2; ++pass) {
-    FaultyGraph g(GetParam(), FlakyBlock::Fault::kNaN, threads[pass]);
-    GuardSet guards({.policy = GuardPolicy::kZero});
-    g.chain.attach_guards(guards);
-    digest[pass] = g.run_hashed();
-    repairs[pass] = guards.total_repairs();
-  }
-  EXPECT_EQ(digest[0], digest[1])
-      << core::standard_name(GetParam())
-      << ": guarded stream depends on the transmitter thread count";
-  EXPECT_EQ(repairs[0], repairs[1]);
-  EXPECT_GT(repairs[0], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Family, GuardPolicies,

@@ -462,29 +462,6 @@ TEST_F(SimdTest, TenStandardBurstsBitIdenticalAcrossTiers) {
   }
 }
 
-TEST(SimdBatch, ModulateBatchMatchesPerCallForAllStandards) {
-  for (const core::Standard standard : core::kStandardFamily) {
-    core::Transmitter tx(core::profile_for(standard));
-    Rng rng(7);
-    const std::size_t bits =
-        std::min<std::size_t>(tx.recommended_payload_bits(), 3000);
-    std::vector<bitvec> payloads;
-    for (int i = 0; i < 3; ++i) payloads.push_back(rng.bits(bits));
-
-    std::vector<core::Transmitter::Burst> batch;
-    tx.modulate_batch(payloads, batch);
-    ASSERT_EQ(batch.size(), payloads.size());
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      const auto one = tx.modulate(payloads[i]);
-      EXPECT_TRUE(bit_equal(one.samples, batch[i].samples))
-          << core::standard_name(standard) << " burst " << i;
-      EXPECT_EQ(one.data_symbols, batch[i].data_symbols);
-      EXPECT_EQ(one.payload_bits, batch[i].payload_bits);
-      EXPECT_EQ(one.coded_bits, batch[i].coded_bits);
-    }
-  }
-}
-
 TEST(SimdBatch, ModulateIntoReusesBufferCleanly) {
   core::Transmitter tx(
       core::profile_for(core::Standard::kWlan80211a));
