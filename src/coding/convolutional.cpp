@@ -74,6 +74,33 @@ bitvec ConvEncoder::encode_terminated(std::span<const std::uint8_t> bits) const 
   return encode(padded);
 }
 
+void ConvEncoder::encode_punctured_into(std::span<const std::uint8_t> bits,
+                                        const PuncturePattern& pattern,
+                                        bitvec& out) const {
+  const unsigned kk = code_.constraint_length;
+  const std::size_t streams = code_.generators.size();
+  const std::size_t period = pattern.period();
+  OFDM_REQUIRE(pattern.keep.size() == streams && period > 0,
+               "encode_punctured_into: one keep mask per generator");
+  const std::size_t steps = bits.size() + kk - 1;
+  out.clear();
+  out.reserve(steps * streams);
+  std::uint32_t window = 0;  // bit (kk-1) = current input, bit 0 = oldest
+  std::size_t phase = 0;
+  for (std::size_t t = 0; t < steps; ++t) {
+    // The K-1 tail steps shift zeros in, terminating the trellis.
+    const std::uint32_t b = t < bits.size() ? (bits[t] & 1u) : 0u;
+    window = (window >> 1) | (b << (kk - 1));
+    for (std::size_t j = 0; j < streams; ++j) {
+      if (pattern.keep[j][phase]) {
+        out.push_back(static_cast<std::uint8_t>(
+            std::popcount(window & code_.generators[j]) & 1));
+      }
+    }
+    phase = (phase + 1) % period;
+  }
+}
+
 bitvec puncture(std::span<const std::uint8_t> coded,
                 const PuncturePattern& pattern) {
   const std::size_t streams = pattern.keep.size();
@@ -93,16 +120,23 @@ bitvec puncture(std::span<const std::uint8_t> coded,
   return out;
 }
 
-std::vector<double> depuncture_soft(std::span<const double> punctured,
-                                    const PuncturePattern& pattern,
-                                    std::size_t coded_len_mother) {
+namespace {
+
+// The shared depuncture walk: kept positions take the next punctured
+// value, stolen ones the erasure value.
+template <typename T>
+void depuncture_walk(std::span<const T> punctured,
+                     const PuncturePattern& pattern,
+                     std::size_t coded_len_mother, T erasure,
+                     const char* who, std::vector<T>& out) {
   const std::size_t streams = pattern.keep.size();
   const std::size_t period = pattern.period();
-  OFDM_REQUIRE(streams > 0 && period > 0, "depuncture_soft: empty pattern");
+  OFDM_REQUIRE(streams > 0 && period > 0,
+               std::string(who) + ": empty pattern");
   OFDM_REQUIRE_DIM(coded_len_mother % streams == 0,
-                   "depuncture_soft: mother length not a multiple of "
-                   "streams");
-  std::vector<double> out;
+                   std::string(who) +
+                       ": mother length not a multiple of streams");
+  out.clear();
   out.reserve(coded_len_mother);
   std::size_t phase = 0;
   std::size_t src = 0;
@@ -110,45 +144,48 @@ std::vector<double> depuncture_soft(std::span<const double> punctured,
     for (std::size_t j = 0; j < streams; ++j) {
       if (pattern.keep[j][phase]) {
         OFDM_REQUIRE_DIM(src < punctured.size(),
-                         "depuncture_soft: punctured stream too short");
+                         std::string(who) + ": punctured stream too short");
         out.push_back(punctured[src++]);
       } else {
-        out.push_back(0.0);
+        out.push_back(erasure);
       }
     }
     phase = (phase + 1) % period;
   }
   OFDM_REQUIRE_DIM(src == punctured.size(),
-                   "depuncture_soft: punctured stream too long");
+                   std::string(who) + ": punctured stream too long");
+}
+
+}  // namespace
+
+void depuncture_into(std::span<const std::uint8_t> punctured,
+                     const PuncturePattern& pattern,
+                     std::size_t coded_len_mother, bitvec& out) {
+  depuncture_walk(punctured, pattern, coded_len_mother, kErasure,
+                  "depuncture", out);
+}
+
+void depuncture_soft_into(std::span<const double> punctured,
+                          const PuncturePattern& pattern,
+                          std::size_t coded_len_mother,
+                          std::vector<double>& out) {
+  depuncture_walk(punctured, pattern, coded_len_mother, 0.0,
+                  "depuncture_soft", out);
+}
+
+std::vector<double> depuncture_soft(std::span<const double> punctured,
+                                    const PuncturePattern& pattern,
+                                    std::size_t coded_len_mother) {
+  std::vector<double> out;
+  depuncture_soft_into(punctured, pattern, coded_len_mother, out);
   return out;
 }
 
 bitvec depuncture(std::span<const std::uint8_t> punctured,
                   const PuncturePattern& pattern,
                   std::size_t coded_len_mother) {
-  const std::size_t streams = pattern.keep.size();
-  const std::size_t period = pattern.period();
-  OFDM_REQUIRE(streams > 0 && period > 0, "depuncture: empty pattern");
-  OFDM_REQUIRE_DIM(coded_len_mother % streams == 0,
-                   "depuncture: mother length not a multiple of streams");
   bitvec out;
-  out.reserve(coded_len_mother);
-  std::size_t phase = 0;
-  std::size_t src = 0;
-  for (std::size_t i = 0; i < coded_len_mother; i += streams) {
-    for (std::size_t j = 0; j < streams; ++j) {
-      if (pattern.keep[j][phase]) {
-        OFDM_REQUIRE_DIM(src < punctured.size(),
-                         "depuncture: punctured stream too short");
-        out.push_back(punctured[src++]);
-      } else {
-        out.push_back(kErasure);
-      }
-    }
-    phase = (phase + 1) % period;
-  }
-  OFDM_REQUIRE_DIM(src == punctured.size(),
-                   "depuncture: punctured stream too long");
+  depuncture_into(punctured, pattern, coded_len_mother, out);
   return out;
 }
 

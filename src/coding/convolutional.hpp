@@ -66,6 +66,13 @@ class ConvEncoder {
   /// to the zero state.
   bitvec encode_terminated(std::span<const std::uint8_t> bits) const;
 
+  /// puncture(encode_terminated(bits), pattern) in one pass, into a
+  /// caller-owned buffer (overwritten; keeps its capacity). The pattern
+  /// has one keep mask per generator.
+  void encode_punctured_into(std::span<const std::uint8_t> bits,
+                             const PuncturePattern& pattern,
+                             bitvec& out) const;
+
   const ConvCode& code() const { return code_; }
 
  private:
@@ -91,5 +98,15 @@ bitvec depuncture(std::span<const std::uint8_t> punctured,
 std::vector<double> depuncture_soft(std::span<const double> punctured,
                                     const PuncturePattern& pattern,
                                     std::size_t coded_len_mother);
+
+/// depuncture() / depuncture_soft() into a caller-owned buffer, which is
+/// overwritten and keeps its capacity across calls.
+void depuncture_into(std::span<const std::uint8_t> punctured,
+                     const PuncturePattern& pattern,
+                     std::size_t coded_len_mother, bitvec& out);
+void depuncture_soft_into(std::span<const double> punctured,
+                          const PuncturePattern& pattern,
+                          std::size_t coded_len_mother,
+                          std::vector<double>& out);
 
 }  // namespace ofdm::coding

@@ -26,19 +26,34 @@ class PermutationInterleaver {
   /// Interleave one block (input length must equal block_size()).
   template <typename T>
   std::vector<T> interleave(std::span<const T> in) const {
-    check_size(in.size());
     std::vector<T> out(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) out[map_[i]] = in[i];
+    interleave_into(in, std::span<T>(out));
     return out;
+  }
+
+  /// interleave() into a caller-sized span (out.size() == in.size()).
+  template <typename T>
+  void interleave_into(std::span<const T> in, std::span<T> out) const {
+    check_size(in.size());
+    check_size(out.size());
+    for (std::size_t i = 0; i < in.size(); ++i) out[map_[i]] = in[i];
   }
 
   /// Exact inverse of interleave().
   template <typename T>
   std::vector<T> deinterleave(std::span<const T> in) const {
-    check_size(in.size());
     std::vector<T> out(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[map_[i]];
+    deinterleave_into(in, std::span<T>(out));
     return out;
+  }
+
+  /// deinterleave() into a caller-sized span (out.size() == in.size()),
+  /// e.g. the tail of a stream the caller is appending to.
+  template <typename T>
+  void deinterleave_into(std::span<const T> in, std::span<T> out) const {
+    check_size(in.size());
+    check_size(out.size());
+    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[map_[i]];
   }
 
   const std::vector<std::size_t>& mapping() const { return map_; }

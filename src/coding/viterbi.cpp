@@ -39,34 +39,51 @@ ViterbiDecoder::ViterbiDecoder(ConvCode code) : code_(std::move(code)) {
   }
 }
 
-bitvec ViterbiDecoder::strip_tail(bitvec full) const {
+void ViterbiDecoder::strip_tail(bitvec& full) const {
   const unsigned tail = code_.constraint_length - 1;
   OFDM_REQUIRE_DIM(full.size() >= tail,
                    "Viterbi: terminated code word shorter than tail");
   full.resize(full.size() - tail);
-  return full;
 }
 
 bitvec ViterbiDecoder::decode_terminated(
     std::span<const std::uint8_t> coded) const {
-  return strip_tail(run_hard(coded, /*terminated=*/true));
+  Scratch scratch;
+  bitvec out;
+  decode_terminated_into(coded, scratch, out);
+  return out;
+}
+
+void ViterbiDecoder::decode_terminated_into(
+    std::span<const std::uint8_t> coded, Scratch& scratch,
+    bitvec& out) const {
+  run_hard(coded, /*terminated=*/true, scratch, out);
+  strip_tail(out);
 }
 
 bitvec ViterbiDecoder::decode(std::span<const std::uint8_t> coded) const {
-  return run_hard(coded, /*terminated=*/false);
+  Scratch scratch;
+  bitvec out;
+  run_hard(coded, /*terminated=*/false, scratch, out);
+  return out;
 }
 
 template <typename FillBm>
-bitvec ViterbiDecoder::run(std::size_t steps, bool terminated,
-                           const FillBm& fill) const {
+void ViterbiDecoder::run(std::size_t steps, bool terminated,
+                         const FillBm& fill, Scratch& scratch,
+                         bitvec& out) const {
   const std::size_t states = code_.num_states();
   const std::size_t half = states / 2;
   const std::size_t n_bm = std::size_t{1} << code_.num_outputs();
   const std::size_t words = (states + 63) / 64;
 
-  std::vector<double> metric(states, kUnreached);
+  std::vector<double>& metric = scratch.metric;
+  metric.assign(states, kUnreached);
   metric[0] = 0.0;  // encoders start from the zero state
-  std::vector<std::uint64_t> dec(steps * words);
+  // Every word is written by the kernel (it clears a step's words
+  // before setting bits), so stale contents need no zeroing.
+  std::vector<std::uint64_t>& dec = scratch.decisions;
+  dec.resize(steps * words);
   double bm[kChunk * kMaxBm];
   const simd::Kernels& kernels = simd::kernels();
   for (std::size_t t0 = 0; t0 < steps; t0 += kChunk) {
@@ -86,56 +103,67 @@ bitvec ViterbiDecoder::run(std::size_t steps, bool terminated,
   // State s after step t was entered with input bit s >> (K-2), from
   // predecessor 2*(s mod half) plus its decision bit.
   const unsigned top = code_.constraint_length - 2;
-  bitvec decoded(steps);
+  out.resize(steps);
   for (std::size_t t = steps; t-- > 0;) {
-    decoded[t] = static_cast<std::uint8_t>(s >> top);
+    out[t] = static_cast<std::uint8_t>(s >> top);
     const std::uint64_t bit = (dec[t * words + s / 64] >> (s % 64)) & 1u;
     s = 2 * (s % half) + bit;
   }
-  return decoded;
 }
 
-bitvec ViterbiDecoder::run_hard(std::span<const std::uint8_t> coded,
-                                bool terminated) const {
+void ViterbiDecoder::run_hard(std::span<const std::uint8_t> coded,
+                              bool terminated, Scratch& scratch,
+                              bitvec& out) const {
   const unsigned n_out = code_.num_outputs();
   OFDM_REQUIRE_DIM(coded.size() % n_out == 0,
                    "Viterbi: coded length not a multiple of output count");
   const std::size_t n_bm = std::size_t{1} << n_out;
   // Hamming distance from the received bits to each expected output.
-  return run(coded.size() / n_out, terminated,
-             [&](std::size_t t, double* bm) {
-               const std::uint8_t* r = coded.data() + t * n_out;
-               for (std::size_t e = 0; e < n_bm; ++e) {
-                 double d = 0.0;
-                 for (unsigned j = 0; j < n_out; ++j) {
-                   if (r[j] != kErasure && ((e >> j) & 1u) != (r[j] & 1u)) {
-                     d += 1.0;
-                   }
-                 }
-                 bm[e] = d;
-               }
-             });
+  run(coded.size() / n_out, terminated,
+      [&](std::size_t t, double* bm) {
+        const std::uint8_t* r = coded.data() + t * n_out;
+        for (std::size_t e = 0; e < n_bm; ++e) {
+          double d = 0.0;
+          for (unsigned j = 0; j < n_out; ++j) {
+            if (r[j] != kErasure && ((e >> j) & 1u) != (r[j] & 1u)) {
+              d += 1.0;
+            }
+          }
+          bm[e] = d;
+        }
+      },
+      scratch, out);
 }
 
 bitvec ViterbiDecoder::decode_soft_terminated(
     std::span<const double> llr) const {
+  Scratch scratch;
+  bitvec out;
+  decode_soft_terminated_into(llr, scratch, out);
+  return out;
+}
+
+void ViterbiDecoder::decode_soft_terminated_into(
+    std::span<const double> llr, Scratch& scratch, bitvec& out) const {
   const unsigned n_out = code_.num_outputs();
   OFDM_REQUIRE_DIM(llr.size() % n_out == 0,
                    "Viterbi: LLR length not a multiple of output count");
   const std::size_t n_bm = std::size_t{1} << n_out;
   // Correlation metric: expected bit 1 pays +llr, bit 0 pays -llr;
   // minimizing the sum is maximum-likelihood for llr = log P(0)/P(1).
-  return strip_tail(run(llr.size() / n_out, /*terminated=*/true,
-                        [&](std::size_t t, double* bm) {
-                          const double* l = llr.data() + t * n_out;
-                          for (std::size_t e = 0; e < n_bm; ++e) {
-                            double c = 0.0;
-                            for (unsigned j = 0; j < n_out; ++j) {
-                              c += ((e >> j) & 1u) ? l[j] : -l[j];
-                            }
-                            bm[e] = c;
-                          }
-                        }));
+  run(llr.size() / n_out, /*terminated=*/true,
+      [&](std::size_t t, double* bm) {
+        const double* l = llr.data() + t * n_out;
+        for (std::size_t e = 0; e < n_bm; ++e) {
+          double c = 0.0;
+          for (unsigned j = 0; j < n_out; ++j) {
+            c += ((e >> j) & 1u) ? l[j] : -l[j];
+          }
+          bm[e] = c;
+        }
+      },
+      scratch, out);
+  strip_tail(out);
 }
 
 }  // namespace ofdm::coding

@@ -3,7 +3,9 @@
 // TX->RX loop and by the BER experiments.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "coding/convolutional.hpp"
 #include "common/types.hpp"
@@ -40,16 +42,32 @@ class ViterbiDecoder {
   /// Typically worth ~2 dB over hard decisions on an AWGN channel.
   bitvec decode_soft_terminated(std::span<const double> llr) const;
 
+  /// Caller-owned buffers of one decode: the path metrics and the
+  /// survivor decision words, which keep their capacity across calls.
+  struct Scratch {
+    std::vector<double> metric;
+    std::vector<std::uint64_t> decisions;
+  };
+
+  /// decode_terminated() / decode_soft_terminated() into a caller-owned
+  /// `out`, with the survivors in `scratch`: bit-identical decisions,
+  /// and no allocation once the buffers have reached the burst size.
+  void decode_terminated_into(std::span<const std::uint8_t> coded,
+                              Scratch& scratch, bitvec& out) const;
+  void decode_soft_terminated_into(std::span<const double> llr,
+                                   Scratch& scratch, bitvec& out) const;
+
   const ConvCode& code() const { return code_; }
 
  private:
-  bitvec run_hard(std::span<const std::uint8_t> coded,
-                  bool terminated) const;
+  void run_hard(std::span<const std::uint8_t> coded, bool terminated,
+                Scratch& scratch, bitvec& out) const;
   /// The shared forward pass and traceback; fill(t, bm) writes the
   /// 2^n_out branch metrics of step t, indexed by expected output bits.
   template <typename FillBm>
-  bitvec run(std::size_t steps, bool terminated, const FillBm& fill) const;
-  bitvec strip_tail(bitvec full) const;
+  void run(std::size_t steps, bool terminated, const FillBm& fill,
+           Scratch& scratch, bitvec& out) const;
+  void strip_tail(bitvec& full) const;
 
   ConvCode code_;
   // Expected output bits (packed, generator j at bit j) of the branch

@@ -6,13 +6,19 @@ namespace ofdm {
 
 bitvec bytes_to_bits_msb(std::span<const std::uint8_t> bytes) {
   bitvec bits;
-  bits.reserve(bytes.size() * 8);
+  bytes_to_bits_msb_into(bytes, bits);
+  return bits;
+}
+
+void bytes_to_bits_msb_into(std::span<const std::uint8_t> bytes,
+                            bitvec& out) {
+  out.clear();
+  out.reserve(bytes.size() * 8);
   for (std::uint8_t b : bytes) {
     for (int i = 7; i >= 0; --i) {
-      bits.push_back(static_cast<std::uint8_t>((b >> i) & 1u));
+      out.push_back(static_cast<std::uint8_t>((b >> i) & 1u));
     }
   }
-  return bits;
 }
 
 bitvec bytes_to_bits_lsb(std::span<const std::uint8_t> bytes) {
@@ -27,14 +33,19 @@ bitvec bytes_to_bits_lsb(std::span<const std::uint8_t> bytes) {
 }
 
 bytevec bits_to_bytes_msb(std::span<const std::uint8_t> bits) {
+  bytevec bytes;
+  bits_to_bytes_msb_into(bits, bytes);
+  return bytes;
+}
+
+void bits_to_bytes_msb_into(std::span<const std::uint8_t> bits,
+                            bytevec& out) {
   OFDM_REQUIRE_DIM(bits.size() % 8 == 0,
                    "bits_to_bytes_msb: bit count must be a multiple of 8");
-  bytevec bytes(bits.size() / 8, 0);
+  out.assign(bits.size() / 8, 0);
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    bytes[i / 8] = static_cast<std::uint8_t>(
-        (bytes[i / 8] << 1) | (bits[i] & 1u));
+    out[i / 8] = static_cast<std::uint8_t>((out[i / 8] << 1) | (bits[i] & 1u));
   }
-  return bytes;
 }
 
 bytevec bits_to_bytes_lsb(std::span<const std::uint8_t> bits) {

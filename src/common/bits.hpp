@@ -14,11 +14,20 @@ namespace ofdm {
 /// Unpack bytes into bits, MSB of each byte first (transport-stream order).
 bitvec bytes_to_bits_msb(std::span<const std::uint8_t> bytes);
 
+/// bytes_to_bits_msb into a caller-owned buffer (overwritten; keeps its
+/// capacity across calls).
+void bytes_to_bits_msb_into(std::span<const std::uint8_t> bytes,
+                            bitvec& out);
+
 /// Unpack bytes into bits, LSB of each byte first (802.11 PSDU order).
 bitvec bytes_to_bits_lsb(std::span<const std::uint8_t> bytes);
 
 /// Pack bits (MSB first) into bytes. Bit count must be a multiple of 8.
 bytevec bits_to_bytes_msb(std::span<const std::uint8_t> bits);
+
+/// bits_to_bytes_msb into a caller-owned buffer (overwritten).
+void bits_to_bytes_msb_into(std::span<const std::uint8_t> bits,
+                            bytevec& out);
 
 /// Pack bits (LSB first) into bytes. Bit count must be a multiple of 8.
 bytevec bits_to_bytes_lsb(std::span<const std::uint8_t> bits);

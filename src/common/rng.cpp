@@ -128,8 +128,12 @@ std::uint8_t Rng::bit() { return static_cast<std::uint8_t>(next_u64() & 1u); }
 
 bitvec Rng::bits(std::size_t n) {
   bitvec out(n);
-  for (auto& b : out) b = bit();
+  bits_into(out);
   return out;
+}
+
+void Rng::bits_into(std::span<std::uint8_t> out) {
+  for (auto& b : out) b = bit();
 }
 
 bytevec Rng::bytes(std::size_t n) {

@@ -65,6 +65,9 @@ class Rng {
   /// `n` fresh bits.
   bitvec bits(std::size_t n);
 
+  /// bits(out.size()) into a caller-owned buffer.
+  void bits_into(std::span<std::uint8_t> out);
+
   /// `n` fresh bytes.
   bytevec bytes(std::size_t n);
 

@@ -14,15 +14,14 @@ PilotGenerator::PilotGenerator(const PilotConfig& cfg,
   }
 }
 
-cvec PilotGenerator::next_symbol() {
-  cvec out(cfg_.base_values);
+void PilotGenerator::next_symbol_into(cvec& out) {
+  out.assign(cfg_.base_values.begin(), cfg_.base_values.end());
   double polarity = 1.0;
   if (prbs_) {
     // 802.11a convention: PRBS output 1 flips the pilot signs.
     polarity = prbs_->next(1) != 0 ? -1.0 : 1.0;
   }
   for (cplx& v : out) v *= polarity * cfg_.boost;
-  return out;
 }
 
 void PilotGenerator::reset() {

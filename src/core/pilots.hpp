@@ -13,8 +13,9 @@ class PilotGenerator {
  public:
   PilotGenerator(const PilotConfig& cfg, std::size_t pilot_count);
 
-  /// Pilot values for the next OFDM symbol (advances the polarity PRBS).
-  cvec next_symbol();
+  /// Pilot values for the next OFDM symbol (advances the polarity PRBS),
+  /// into a caller-owned buffer (overwritten; keeps its capacity).
+  void next_symbol_into(cvec& out);
 
   /// Restart the polarity sequence (new frame).
   void reset();

@@ -26,11 +26,29 @@ struct Transmitter::State {
   std::optional<coding::ReedSolomon> rs;
   std::optional<PilotGenerator> pilots;
   std::size_t cbps = 0;
+  cvec preamble;  ///< WLAN training samples, fixed per configuration
+  cvec ref_data;  ///< phase-reference data cells, fixed per configuration
+
+  /// Intermediate streams of one encode() call.
+  struct EncodeScratch {
+    bitvec bits;         ///< scrambled (and RS-coded) bits
+    bytevec bytes;       ///< RS input bytes
+    bytevec rs_coded;    ///< RS code words
+  };
+  /// The bit pipeline (scramble, RS, convolutional code, puncture, pad to
+  /// `target` bits) into `out`.
+  void encode(std::span<const std::uint8_t> payload_bits, std::size_t target,
+              EncodeScratch& ws, bitvec& out) const;
 
   // Scratch for the batched transmit path; grows once, reused across
   // bursts.
-  cvec mapped_all;    ///< whole-stream block map (fast path)
-  cvec data_scratch;  ///< per-symbol tone values
+  cvec mapped_all;       ///< whole-stream block map (fast path)
+  cvec data_scratch;     ///< per-symbol tone values
+  cvec cells_scratch;    ///< per-symbol tone values before cell interleave
+  bitvec bits_scratch;   ///< per-symbol interleaved bits
+  cvec pilot_scratch;    ///< per-symbol pilot values
+  EncodeScratch encode_scratch;
+  bitvec coded;          ///< the current burst's coded stream
 };
 
 Transmitter::Transmitter() = default;
@@ -81,6 +99,16 @@ void Transmitter::configure(OfdmParams params) {
   if (p.fec.conv_enabled) s->conv.emplace(p.fec.conv);
   if (p.fec.rs_enabled) s->rs.emplace(p.fec.rs_n, p.fec.rs_k);
   s->pilots.emplace(p.pilots, s->layout.pilot_bins.size());
+  switch (p.frame.preamble) {
+    case PreambleKind::kNone:
+      break;
+    case PreambleKind::kWlan:
+      s->preamble = wlan_preamble(p);
+      break;
+    case PreambleKind::kPhaseReference:
+      s->ref_data = phase_reference_values(p, s->layout.data_bins.size());
+      break;
+  }
 
   state_ = std::move(s);  // commit only after everything succeeded
 }
@@ -160,8 +188,20 @@ std::size_t Transmitter::recommended_payload_bits() const {
 bitvec Transmitter::encode_payload(
     std::span<const std::uint8_t> payload_bits) const {
   OFDM_REQUIRE(state_, kUnconfigured);
-  const OfdmParams& p = state_->params;
-  bitvec bits(payload_bits.begin(), payload_bits.end());
+  State::EncodeScratch ws;
+  bitvec out;
+  state_->encode(payload_bits, coded_length(payload_bits.size()), ws, out);
+  return out;
+}
+
+void Transmitter::State::encode(std::span<const std::uint8_t> payload_bits,
+                                std::size_t target, EncodeScratch& ws,
+                                bitvec& out) const {
+  const OfdmParams& p = params;
+  // The convolutional code reads the stream from ws.bits and writes the
+  // result; without one, every stage works in `out` directly.
+  bitvec& bits = conv ? ws.bits : out;
+  bits.assign(payload_bits.begin(), payload_bits.end());
 
   if (p.scrambler.enabled) {
     coding::Scrambler scr(p.scrambler.degree, p.scrambler.taps,
@@ -177,35 +217,30 @@ bitvec Transmitter::encode_payload(
   // deterministic.
   coding::Lfsr filler(15, (std::uint64_t{1} << 14) | 1u, 0x2A2A);
 
-  if (state_->rs) {
+  if (rs) {
     filler.append(bits, (8 - bits.size() % 8) % 8);
-    bytevec bytes = bits_to_bytes_msb(bits);
-    const std::size_t k = state_->rs->k();
+    bits_to_bytes_msb_into(bits, ws.bytes);
+    const std::size_t k = rs->k();
     const std::size_t blocks =
-        std::max<std::size_t>((bytes.size() + k - 1) / k, 1);
-    while (bytes.size() < blocks * k) {
-      bytes.push_back(static_cast<std::uint8_t>(filler.next(8)));
+        std::max<std::size_t>((ws.bytes.size() + k - 1) / k, 1);
+    while (ws.bytes.size() < blocks * k) {
+      ws.bytes.push_back(static_cast<std::uint8_t>(filler.next(8)));
     }
-    bytevec coded_bytes;
-    coded_bytes.reserve(bytes.size() / k * state_->rs->n());
-    for (std::size_t off = 0; off < bytes.size(); off += k) {
-      const bytevec block = state_->rs->encode(
-          std::span<const std::uint8_t>(bytes).subspan(off, k));
-      coded_bytes.insert(coded_bytes.end(), block.begin(), block.end());
+    ws.rs_coded.clear();
+    ws.rs_coded.reserve(blocks * rs->n());
+    for (std::size_t off = 0; off < ws.bytes.size(); off += k) {
+      const bytevec block = rs->encode(
+          std::span<const std::uint8_t>(ws.bytes).subspan(off, k));
+      ws.rs_coded.insert(ws.rs_coded.end(), block.begin(), block.end());
     }
-    bits = bytes_to_bits_msb(coded_bytes);
+    bytes_to_bits_msb_into(ws.rs_coded, bits);
   }
 
-  if (state_->conv) {
-    bits = coding::puncture(state_->conv->encode_terminated(bits),
-                            p.fec.puncture);
-  }
+  if (conv) conv->encode_punctured_into(bits, p.fec.puncture, out);
 
-  const std::size_t target = coded_length(payload_bits.size());
-  OFDM_REQUIRE(bits.size() <= target,
+  OFDM_REQUIRE(out.size() <= target,
                "Transmitter: internal coded-length mismatch");
-  filler.append(bits, target - bits.size());
-  return bits;
+  filler.append(out, target - out.size());
 }
 
 cvec Transmitter::preamble_samples() const {
@@ -248,7 +283,9 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
   burst.null_samples = 0;
   burst.preamble_samples = 0;
 
-  const bitvec coded = encode_payload(payload_bits);
+  s.encode(payload_bits, coded_length(payload_bits.size()),
+           s.encode_scratch, s.coded);
+  const bitvec& coded = s.coded;
   burst.coded_bits = coded.size();
   burst.data_symbols = coded.size() / s.cbps;
 
@@ -269,20 +306,15 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
   switch (p.frame.preamble) {
     case PreambleKind::kNone:
       break;
-    case PreambleKind::kWlan: {
-      const cvec pre = wlan_preamble(p);
-      s.modulator->emit_raw(pre, out);
-      burst.preamble_samples = pre.size();
+    case PreambleKind::kWlan:
+      s.modulator->emit_raw(s.preamble, out);
+      burst.preamble_samples = s.preamble.size();
       break;
-    }
     case PreambleKind::kPhaseReference: {
-      const cvec ref_data =
-          phase_reference_values(p, s.layout.data_bins.size());
-      const cvec ref_pilots(p.pilots.base_values);
       const std::size_t before = out.size();
-      s.modulator->emit(s.modulator->assemble(ref_data, ref_pilots), out);
+      s.modulator->modulate_symbol(s.ref_data, p.pilots.base_values, out);
       burst.preamble_samples = out.size() - before;
-      if (s.diff) s.diff->reset(ref_data);
+      if (s.diff) s.diff->reset(s.ref_data);
       break;
     }
   }
@@ -305,29 +337,32 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
         sym * s.cbps, s.cbps);
 
     // Per-symbol bit interleaving.
-    bitvec permuted;
     std::span<const std::uint8_t> mapped_bits = sym_bits;
     if (s.bit_interleaver) {
-      permuted = s.bit_interleaver->interleave(sym_bits);
-      mapped_bits = permuted;
+      s.bits_scratch.resize(sym_bits.size());
+      s.bit_interleaver->interleave_into(
+          sym_bits, std::span<std::uint8_t>(s.bits_scratch));
+      mapped_bits = s.bits_scratch;
     }
 
-    // Bits -> tone values.
+    // Bits -> tone values; cell interleaving then permutes them across
+    // the data tones.
+    cvec& cells = s.cell_interleaver ? s.cells_scratch : dst;
     switch (p.mapping) {
       case MappingKind::kFixed:
-        s.constellation->map_into(mapped_bits, dst);
+        s.constellation->map_into(mapped_bits, cells);
         break;
       case MappingKind::kDifferential:
-        dst = s.diff->map_symbol(mapped_bits);
+        cells = s.diff->map_symbol(mapped_bits);
         break;
       case MappingKind::kBitTable:
-        dst = s.dmt->map_symbol(mapped_bits);
+        s.dmt->map_symbol_into(mapped_bits, cells);
         break;
     }
-
-    // Cell interleaving permutes mapped values across the data tones.
     if (s.cell_interleaver) {
-      dst = s.cell_interleaver->interleave(std::span<const cplx>(dst));
+      dst.resize(cells.size());
+      s.cell_interleaver->interleave_into(std::span<const cplx>(cells),
+                                          std::span<cplx>(dst));
     }
   };
 
@@ -340,8 +375,8 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
       map_symbol_into(sym, s.data_scratch);
       data_values = s.data_scratch;
     }
-    const cvec pilot_values = s.pilots->next_symbol();
-    s.modulator->modulate_symbol(data_values, pilot_values, out);
+    s.pilots->next_symbol_into(s.pilot_scratch);
+    s.modulator->modulate_symbol(data_values, s.pilot_scratch, out);
   }
 
   s.modulator->flush(out);

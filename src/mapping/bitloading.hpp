@@ -49,8 +49,16 @@ class DmtMapper {
   /// Map exactly bits_per_symbol() bits onto tones() complex values.
   cvec map_symbol(std::span<const std::uint8_t> bits) const;
 
+  /// map_symbol into a caller-owned buffer (overwritten; keeps its
+  /// capacity across calls).
+  void map_symbol_into(std::span<const std::uint8_t> bits, cvec& out) const;
+
   /// Hard demap of tones() values back to bits_per_symbol() bits.
   bitvec demap_symbol(std::span<const cplx> tones_in) const;
+
+  /// demap_symbol into a caller-owned buffer (overwritten; keeps its
+  /// capacity across calls).
+  void demap_symbol_into(std::span<const cplx> tones_in, bitvec& out) const;
 
  private:
   const Constellation& constellation_for(std::uint8_t load) const;

@@ -151,6 +151,13 @@ void Constellation::demap(cplx symbol, bitvec& out) const {
 
 bitvec Constellation::demap_all(std::span<const cplx> symbols) const {
   bitvec out;
+  demap_into(symbols, out);
+  return out;
+}
+
+void Constellation::demap_into(std::span<const cplx> symbols,
+                               bitvec& out) const {
+  out.clear();
   out.reserve(symbols.size() * bits());
   // Batch the scale pass through the kernel table; the Gray slicing
   // itself stays scalar (std::lround's half-away-from-zero rounding has
@@ -161,7 +168,6 @@ bitvec Constellation::demap_all(std::span<const cplx> symbols) const {
     simd::kernels().cvec_scale(symbols.data() + i, norm_, scaled, m);
     for (std::size_t j = 0; j < m; ++j) demap_scaled(scaled[j], out);
   }
-  return out;
 }
 
 const cplx* Constellation::soft_points(cvec& scratch) const {

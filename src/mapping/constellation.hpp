@@ -70,6 +70,10 @@ class Constellation {
   /// Demap a symbol stream.
   bitvec demap_all(std::span<const cplx> symbols) const;
 
+  /// demap_all into a caller-owned buffer (overwritten; keeps its
+  /// capacity across calls).
+  void demap_into(std::span<const cplx> symbols, bitvec& out) const;
+
   /// Max-log soft demap: appends one LLR per bit, with the convention
   /// llr > 0 => bit 0 more likely. `noise_var` scales the magnitudes
   /// (LLR = (d1² - d0²)/noise_var with d_b the distance to the nearest

@@ -92,9 +92,16 @@ cvec DifferentialMapper::map_symbol(std::span<const std::uint8_t> bits) {
 }
 
 bitvec DifferentialMapper::demap_symbol(std::span<const cplx> received) {
+  bitvec out;
+  demap_symbol_into(received, out);
+  return out;
+}
+
+void DifferentialMapper::demap_symbol_into(std::span<const cplx> received,
+                                           bitvec& out) {
   OFDM_REQUIRE_DIM(received.size() == carriers_,
                    "DifferentialMapper::demap_symbol: size mismatch");
-  bitvec out;
+  out.clear();
   out.reserve(bits_per_ofdm_symbol());
   for (std::size_t c = 0; c < carriers_; ++c) {
     const double dphase =
@@ -102,7 +109,6 @@ bitvec DifferentialMapper::demap_symbol(std::span<const cplx> received) {
     decide_bits(dphase, out);
     ref_[c] = received[c];
   }
-  return out;
 }
 
 }  // namespace ofdm::mapping

@@ -45,6 +45,10 @@ class DifferentialMapper {
   /// the stored reference and `received`, then advance the reference.
   bitvec demap_symbol(std::span<const cplx> received);
 
+  /// demap_symbol into a caller-owned buffer (overwritten; keeps its
+  /// capacity across calls).
+  void demap_symbol_into(std::span<const cplx> received, bitvec& out);
+
  private:
   double phase_increment(std::span<const std::uint8_t> bits,
                          std::size_t offset) const;

@@ -26,7 +26,6 @@ class AwgnChannel : public Block {
   double noise_power_;
   Rng rng_;
   std::uint64_t seed_;
-  cvec noise_;  // per-chunk batch of draws; grows once
 };
 
 /// Noise power for a target SNR (dB) given the signal power.

@@ -119,9 +119,11 @@ MotherReceiver::MotherReceiver(core::OfdmParams params, RxOptions options)
       break;
     case PreambleKind::kWlan:
       preamble_len_ = 320;
+      training_ = core::wlan_ltf_bins();
       break;
     case PreambleKind::kPhaseReference:
       preamble_len_ = p.symbol_len();
+      training_ = core::phase_reference_values(p, layout_.data_bins.size());
       break;
   }
 }
@@ -162,15 +164,16 @@ std::size_t MotherReceiver::payload_offset() const {
 
 // FFT window of the symbol starting at `offset`, descaled and (when
 // `equalized`) multiplied by the installed one-tap equalizer.
-cvec MotherReceiver::demod_bins(std::span<const cplx> burst,
-                                std::size_t offset, bool equalized) const {
+void MotherReceiver::demod_bins(std::span<const cplx> burst,
+                                std::size_t offset, bool equalized,
+                                cvec& bins) const {
   const OfdmParams& p = params_;
   const std::size_t n = p.fft_size;
   const std::size_t cp = p.cp_len;
   OFDM_REQUIRE_DIM(offset + cp + n <= burst.size(),
                    "MotherReceiver: burst shorter than expected");
   const std::span<const cplx> window = burst.subspan(offset + cp, n);
-  cvec bins(n);
+  bins.resize(n);
   if (p.hermitian) {
     // Real-baseband standards (DMT/powerline) keep the imaginary lanes
     // bitwise 0.0 through loopback and real-only channels, where the
@@ -198,7 +201,6 @@ cvec MotherReceiver::demod_bins(std::span<const cplx> burst,
   if (equalized && !equalizer_.empty()) {
     for (std::size_t i = 0; i < bins.size(); ++i) bins[i] *= equalizer_[i];
   }
-  return bins;
 }
 
 // Common phase error from the pilots of one demodulated symbol:
@@ -214,33 +216,44 @@ cplx MotherReceiver::pilot_rotor(const cvec& bins,
   return std::conj(acc / mag);
 }
 
-// Data cells of one symbol: pilot derotation, data-bin gather, cell
-// deinterleave.
-void MotherReceiver::extract_symbol(const cvec& bins,
-                                    const cvec& expected_pilots,
-                                    cvec& data) const {
-  const cplx rotor = options_.pilot_tracking
-                         ? pilot_rotor(bins, expected_pilots)
-                         : cplx{1.0, 0.0};
-  data.resize(layout_.data_bins.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = bins[layout_.data_bins[i]] * rotor;
+// The expected-pilot sequence of one burst. Only pilot tracking reads
+// it, so without tracking there is none to advance.
+std::optional<core::PilotGenerator> MotherReceiver::pilot_generator()
+    const {
+  std::optional<core::PilotGenerator> pilots;
+  if (options_.pilot_tracking) {
+    pilots.emplace(params_.pilots, layout_.pilot_bins.size());
   }
-  if (cell_interleaver_) {
-    data = cell_interleaver_->deinterleave(std::span<const cplx>(data));
+  return pilots;
+}
+
+// Data cells of one symbol into scratch.data: pilot derotation, then
+// the data-bin gather, with the cell deinterleave folded into it
+// (cell i is data bin mapping[i]).
+void MotherReceiver::extract_symbol(
+    const cvec& bins, std::optional<core::PilotGenerator>& pilots,
+    Scratch& scratch) const {
+  cplx rotor{1.0, 0.0};
+  if (pilots) {
+    pilots->next_symbol_into(scratch.pilots);
+    rotor = pilot_rotor(bins, scratch.pilots);
+  }
+  cvec& data = scratch.data;
+  data.resize(layout_.data_bins.size());
+  const std::vector<std::size_t>* cells =
+      cell_interleaver_ ? &cell_interleaver_->mapping() : nullptr;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::size_t cell = cells != nullptr ? (*cells)[i] : i;
+    data[i] = bins[layout_.data_bins[cell]] * rotor;
   }
 }
 
-// Max-log LLRs for one symbol's data cells, weighted by the per-tone
-// noise after equalization: a one-tap equalizer multiplies tone k's
-// noise variance by |eq_k|^2, so confident-looking bins on
-// enhanced-noise tones must be de-weighted. The whole symbol goes
-// through the SIMD demap_soft kernel in one batch.
-void MotherReceiver::soft_demap_symbol(const cvec& data,
-                                       rvec& noise_scratch,
-                                       rvec& llr_out) const {
-  noise_scratch.resize(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
+// Per-cell noise variance for max-log LLRs, fixed for a burst: a
+// one-tap equalizer multiplies tone k's noise variance by |eq_k|^2, so
+// confident-looking bins on enhanced-noise tones must be de-weighted.
+void MotherReceiver::soft_noise(rvec& noise) const {
+  noise.resize(layout_.data_bins.size());
+  for (std::size_t i = 0; i < noise.size(); ++i) {
     double noise_var = noise_floor_;
     if (!equalizer_.empty()) {
       // Cell interleaving permutes tones; index the equalizer through
@@ -249,47 +262,62 @@ void MotherReceiver::soft_demap_symbol(const cvec& data,
           cell_interleaver_ ? cell_interleaver_->mapping()[i] : i;
       noise_var *= std::norm(equalizer_[layout_.data_bins[tone]]);
     }
-    noise_scratch[i] = std::max(noise_var, 1e-12);
+    noise[i] = std::max(noise_var, 1e-12);
   }
-  constellation_->demap_soft_into(data, noise_scratch, llr_out);
 }
 
 cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
+  cvec eq;
+  Scratch scratch;
+  estimate_equalizer_into(burst, eq, scratch);
+  return eq;
+}
+
+void MotherReceiver::train_equalizer(std::span<const cplx> burst,
+                                     Scratch& scratch) {
+  // The estimate reads the burst only (never the installed equalizer),
+  // so it can be written over it.
+  estimate_equalizer_into(burst, equalizer_, scratch);
+}
+
+void MotherReceiver::estimate_equalizer_into(std::span<const cplx> burst,
+                                             cvec& eq,
+                                             Scratch& scratch) const {
   const OfdmParams& p = params_;
-  cvec eq(p.fft_size, cplx{1.0, 0.0});
+  eq.assign(p.fft_size, cplx{1.0, 0.0});
 
   switch (p.frame.preamble) {
     case PreambleKind::kNone:
-      return eq;
+      return;
     case PreambleKind::kWlan: {
       // Average both long training symbols (T1 at 192, T2 at 256 into
       // the burst) for a 3 dB better estimate. No CP handling: the LTF
-      // symbols are plain 64-sample repetitions.
+      // symbols are plain 64-sample repetitions, and fft_ is 64-point
+      // (the WLAN preamble exists only in the 64-point geometry).
       const std::size_t t1 = p.frame.null_samples + 160 + 32;
       OFDM_REQUIRE_DIM(t1 + 128 <= burst.size(),
                        "estimate_equalizer: burst too short for LTF");
-      // Cheap per-call plan: the 64-point tables are shared through the
-      // process-wide plan cache with every other WLAN-geometry user.
-      dsp::Fft fft64(64);
-      const cvec r1 = fft64.forward(burst.subspan(t1, 64));
-      const cvec r2 = fft64.forward(burst.subspan(t1 + 64, 64));
-      const cvec known = core::wlan_ltf_bins();
+      cvec& r1 = scratch.bins;
+      cvec& r2 = scratch.data;
+      r1.resize(64);
+      r2.resize(64);
+      fft_.forward(burst.subspan(t1, 64), r1);
+      fft_.forward(burst.subspan(t1 + 64, 64), r2);
       for (std::size_t bin = 0; bin < 64; ++bin) {
         const cplx avg = (r1[bin] + r2[bin]) / (2.0 * scale_);
-        if (std::abs(known[bin]) > 0.0 && std::abs(avg) > 1e-12) {
-          eq[bin] = known[bin] / avg;
+        if (std::abs(training_[bin]) > 0.0 && std::abs(avg) > 1e-12) {
+          eq[bin] = training_[bin] / avg;
         }
       }
-      return eq;
+      return;
     }
     case PreambleKind::kPhaseReference: {
-      const std::size_t off = p.frame.null_samples;
-      const cvec rx = demod_bins(burst, off, /*equalized=*/false);
-      const cvec ref_data =
-          core::phase_reference_values(p, layout_.data_bins.size());
+      const cvec& rx = scratch.bins;
+      demod_bins(burst, p.frame.null_samples, /*equalized=*/false,
+                 scratch.bins);
       for (std::size_t i = 0; i < layout_.data_bins.size(); ++i) {
         const std::size_t bin = layout_.data_bins[i];
-        if (std::abs(rx[bin]) > 1e-12) eq[bin] = ref_data[i] / rx[bin];
+        if (std::abs(rx[bin]) > 1e-12) eq[bin] = training_[i] / rx[bin];
       }
       for (std::size_t i = 0; i < layout_.pilot_bins.size(); ++i) {
         const std::size_t bin = layout_.pilot_bins[i];
@@ -297,10 +325,9 @@ cvec MotherReceiver::estimate_equalizer(std::span<const cplx> burst) const {
           eq[bin] = p.pilots.base_values[i] / rx[bin];
         }
       }
-      return eq;
+      return;
     }
   }
-  return eq;
 }
 
 SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
@@ -355,126 +382,161 @@ SyncReport MotherReceiver::synchronize(std::span<const cplx> stream,
 std::vector<cvec> MotherReceiver::extract_data_tones(
     std::span<const cplx> burst, std::size_t n_symbols) const {
   std::vector<cvec> out;
-  out.reserve(n_symbols);
-  core::PilotGenerator pilots(params_.pilots, layout_.pilot_bins.size());
+  Scratch scratch;
+  extract_data_tones_into(burst, n_symbols, out, scratch);
+  return out;
+}
+
+void MotherReceiver::extract_data_tones_into(std::span<const cplx> burst,
+                                             std::size_t n_symbols,
+                                             std::vector<cvec>& out,
+                                             Scratch& scratch) const {
+  out.resize(n_symbols);
+  std::optional<core::PilotGenerator> pilots = pilot_generator();
   std::size_t offset = payload_offset();
   for (std::size_t sym = 0; sym < n_symbols; ++sym) {
-    const cvec bins = demod_bins(burst, offset, /*equalized=*/true);
-    cvec data;
-    extract_symbol(bins, pilots.next_symbol(), data);
-    out.push_back(std::move(data));
+    demod_bins(burst, offset, /*equalized=*/true, scratch.bins);
+    extract_symbol(scratch.bins, pilots, scratch);
+    out[sym] = scratch.data;
     offset += params_.symbol_len();
   }
-  return out;
 }
 
 MotherReceiver::Result MotherReceiver::demodulate(
     std::span<const cplx> burst, std::size_t payload_bits,
     std::vector<cvec>* data_tones) const {
+  Result result;
+  Scratch scratch;
+  demodulate_into(burst, payload_bits, result, scratch, data_tones);
+  return result;
+}
+
+void MotherReceiver::demodulate_into(std::span<const cplx> burst,
+                                     std::size_t payload_bits,
+                                     Result& result, Scratch& ws,
+                                     std::vector<cvec>* data_tones) const {
   const OfdmParams& p = params_;
   const ChainLengths len = chain_lengths(p, payload_bits);
   const std::size_t min_syms = p.frame.symbols_per_frame;
-  const std::size_t n_symbols = std::max(
-      min_syms, (len.punctured_bits + cbps_ - 1) / cbps_);
+  const std::size_t coded_syms = (len.punctured_bits + cbps_ - 1) / cbps_;
+  const std::size_t n_symbols = std::max(min_syms, coded_syms);
+  const bool uncoded = options_.mode == RxMode::kUncoded;
 
-  Result result;
   result.symbols = n_symbols;
+  result.rs_blocks_failed = 0;
 
   // Differential demapper seeded from the *received* phase reference so
   // a static channel phase cancels out.
   std::optional<mapping::DifferentialMapper> diff;
   if (p.mapping == MappingKind::kDifferential) {
     diff.emplace(p.diff_kind, layout_.data_bins.size());
-    const std::size_t ref_off = p.frame.null_samples;
-    const cvec bins = demod_bins(burst, ref_off, /*equalized=*/true);
-    cvec ref(layout_.data_bins.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ref[i] = bins[layout_.data_bins[i]];
+    demod_bins(burst, p.frame.null_samples, /*equalized=*/true, ws.bins);
+    ws.data.resize(layout_.data_bins.size());
+    for (std::size_t i = 0; i < ws.data.size(); ++i) {
+      ws.data[i] = ws.bins[layout_.data_bins[i]];
     }
-    diff->reset(ref);
+    diff->reset(ws.data);
   }
 
-  // 1. Tones -> coded bits (or LLRs on the soft path).
+  // 1. Tones -> coded bits (or LLRs on the soft path). The uncoded tap
+  // measures the raw channel, symbol padding included; the coded path
+  // demaps only the symbols that carry coded bits (sym * cbps below
+  // punctured_bits), and without a tone request it skips the padding
+  // symbols altogether.
   const bool soft = soft_path_active();
-  bitvec coded;
-  rvec soft_coded;
-  coded.reserve(soft ? 0 : n_symbols * cbps_);
-  if (soft) soft_coded.reserve(n_symbols * cbps_);
-  core::PilotGenerator pilots(p.pilots, layout_.pilot_bins.size());
+  const std::size_t demap_syms = uncoded ? n_symbols : coded_syms;
+  const std::size_t fft_syms = data_tones != nullptr ? n_symbols
+                                                     : demap_syms;
+  bitvec& coded = uncoded ? result.raw_bits : ws.coded;
+  coded.clear();
+  ws.soft_coded.clear();
+  if (soft) {
+    ws.soft_coded.reserve(demap_syms * cbps_);
+    soft_noise(ws.noise);
+  } else {
+    coded.reserve(demap_syms * cbps_);
+  }
+  std::optional<core::PilotGenerator> pilots = pilot_generator();
   std::size_t offset = payload_offset();
-  cvec data;
-  rvec noise_scratch;
-  rvec sym_llr;
   if (data_tones != nullptr) data_tones->resize(n_symbols);
-  for (std::size_t sym = 0; sym < n_symbols; ++sym) {
-    const cvec bins = demod_bins(burst, offset, /*equalized=*/true);
-    extract_symbol(bins, pilots.next_symbol(), data);
+  for (std::size_t sym = 0; sym < fft_syms; ++sym) {
+    demod_bins(burst, offset, /*equalized=*/true, ws.bins);
+    offset += p.symbol_len();
+    extract_symbol(ws.bins, pilots, ws);
+    const cvec& data = ws.data;
     if (data_tones != nullptr) (*data_tones)[sym] = data;
+    if (sym >= demap_syms) continue;
 
     if (soft) {
-      soft_demap_symbol(data, noise_scratch, sym_llr);
+      constellation_->demap_soft_into(data, ws.noise, ws.sym_llr);
+      const std::size_t base = ws.soft_coded.size();
       if (bit_interleaver_) {
-        sym_llr = bit_interleaver_->deinterleave(
-            std::span<const double>(sym_llr));
+        ws.soft_coded.resize(base + ws.sym_llr.size());
+        bit_interleaver_->deinterleave_into(
+            std::span<const double>(ws.sym_llr),
+            std::span<double>(ws.soft_coded).subspan(base));
+      } else {
+        ws.soft_coded.insert(ws.soft_coded.end(), ws.sym_llr.begin(),
+                             ws.sym_llr.end());
       }
-      soft_coded.insert(soft_coded.end(), sym_llr.begin(),
-                        sym_llr.end());
-      offset += p.symbol_len();
       continue;
     }
 
-    bitvec sym_bits;
     switch (p.mapping) {
       case MappingKind::kFixed:
-        sym_bits = constellation_->demap_all(data);
+        constellation_->demap_into(data, ws.sym_bits);
         break;
       case MappingKind::kDifferential:
-        sym_bits = diff->demap_symbol(data);
+        diff->demap_symbol_into(data, ws.sym_bits);
         break;
       case MappingKind::kBitTable:
-        sym_bits = dmt_->demap_symbol(data);
+        dmt_->demap_symbol_into(data, ws.sym_bits);
         break;
     }
+    const std::size_t base = coded.size();
     if (bit_interleaver_) {
-      sym_bits = bit_interleaver_->deinterleave(
-          std::span<const std::uint8_t>(sym_bits));
+      coded.resize(base + ws.sym_bits.size());
+      bit_interleaver_->deinterleave_into(
+          std::span<const std::uint8_t>(ws.sym_bits),
+          std::span<std::uint8_t>(coded).subspan(base));
+    } else {
+      coded.insert(coded.end(), ws.sym_bits.begin(), ws.sym_bits.end());
     }
-    coded.insert(coded.end(), sym_bits.begin(), sym_bits.end());
-    offset += p.symbol_len();
   }
 
   // Uncoded mode measures the raw channel: the pre-FEC coded stream
   // (symbol padding included) against Transmitter::encode_payload.
-  if (options_.mode == RxMode::kUncoded) {
-    result.raw_bits = std::move(coded);
-    return result;
+  if (uncoded) {
+    result.payload.clear();
+    return;
   }
+  result.raw_bits.clear();
 
   // 2. Inner code.
-  bitvec bits;
+  bitvec& bits = result.payload;
   if (soft) {
-    soft_coded.resize(len.punctured_bits);  // drop symbol padding
-    const rvec mother = coding::depuncture_soft(
-        soft_coded, p.fec.puncture, len.mother_bits);
-    bits = viterbi_->decode_soft_terminated(mother);
+    ws.soft_coded.resize(len.punctured_bits);  // drop symbol padding
+    coding::depuncture_soft_into(ws.soft_coded, p.fec.puncture,
+                                 len.mother_bits, ws.mother_llr);
+    viterbi_->decode_soft_terminated_into(ws.mother_llr, ws.viterbi, bits);
   } else if (p.fec.conv_enabled) {
     coded.resize(len.punctured_bits);
-    const bitvec mother =
-        coding::depuncture(coded, p.fec.puncture, len.mother_bits);
-    bits = viterbi_->decode_terminated(mother);
+    coding::depuncture_into(coded, p.fec.puncture, len.mother_bits,
+                            ws.mother_bits);
+    viterbi_->decode_terminated_into(ws.mother_bits, ws.viterbi, bits);
   } else {
     coded.resize(len.punctured_bits);
-    bits = std::move(coded);
+    bits.assign(coded.begin(), coded.end());
   }
   bits.resize(len.rs_out_bits);
 
   // 3. Outer code.
   if (p.fec.rs_enabled) {
-    const bytevec rx_bytes = bits_to_bytes_msb(bits);
-    bytevec message;
-    message.reserve(rx_bytes.size() / rs_->n() * rs_->k());
-    for (std::size_t off = 0; off < rx_bytes.size(); off += rs_->n()) {
-      const auto block = std::span<const std::uint8_t>(rx_bytes)
+    bits_to_bytes_msb_into(bits, ws.rs_words);
+    ws.message.clear();
+    ws.message.reserve(ws.rs_words.size() / rs_->n() * rs_->k());
+    for (std::size_t off = 0; off < ws.rs_words.size(); off += rs_->n()) {
+      const auto block = std::span<const std::uint8_t>(ws.rs_words)
                              .subspan(off, rs_->n());
       auto decoded = rs_->decode(block);
       if (!decoded.success) {
@@ -484,10 +546,10 @@ MotherReceiver::Result MotherReceiver::demodulate(
                                block.begin() + static_cast<std::ptrdiff_t>(
                                                    rs_->k()));
       }
-      message.insert(message.end(), decoded.message.begin(),
-                     decoded.message.end());
+      ws.message.insert(ws.message.end(), decoded.message.begin(),
+                        decoded.message.end());
     }
-    bits = bytes_to_bits_msb(message);
+    bytes_to_bits_msb_into(ws.message, bits);
   }
   bits.resize(len.scrambled_bits);
 
@@ -497,8 +559,6 @@ MotherReceiver::Result MotherReceiver::demodulate(
                           p.scrambler.seed);
     scr.apply(bits);
   }
-  result.payload = std::move(bits);
-  return result;
 }
 
 }  // namespace ofdm::rx

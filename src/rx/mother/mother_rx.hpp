@@ -19,6 +19,7 @@
 #include "coding/reed_solomon.hpp"
 #include "coding/viterbi.hpp"
 #include "core/params.hpp"
+#include "core/pilots.hpp"
 #include "dsp/fft.hpp"
 #include "rx/mother/rx_mode.hpp"
 #include "rx/sync.hpp"
@@ -92,29 +93,71 @@ class MotherReceiver {
     std::size_t rs_blocks_failed = 0;  ///< uncorrectable outer blocks
   };
 
+  /// Caller-owned buffers for demodulate_into() and
+  /// extract_data_tones_into(): every symbol- and burst-sized vector of
+  /// one call. They keep their capacity across calls, so a warm call
+  /// allocates nothing burst-sized; no value carries over from one call
+  /// to the next.
+  struct Scratch {
+    cvec bins;           ///< one symbol's FFT bins
+    cvec data;           ///< one symbol's data cells
+    cvec pilots;         ///< one symbol's expected pilots
+    rvec noise;          ///< per-cell noise variance for soft demap
+    rvec sym_llr;        ///< one symbol's LLRs
+    bitvec sym_bits;     ///< one symbol's hard bits
+    bitvec coded;        ///< hard coded stream (kCoded)
+    rvec soft_coded;     ///< soft coded stream
+    rvec mother_llr;     ///< depunctured LLRs
+    bitvec mother_bits;  ///< depunctured hard bits
+    coding::ViterbiDecoder::Scratch viterbi;
+    bytevec rs_words;    ///< outer code words
+    bytevec message;     ///< outer-decoded message bytes
+  };
+
   /// Demodulate a burst produced by Transmitter::modulate() for
   /// `payload_bits` payload bits, honoring options().mode. A non-null
   /// `data_tones` receives the equalized data cells of every payload
-  /// symbol demodulated, the same values extract_data_tones() returns.
+  /// symbol of the burst, the same values extract_data_tones() returns.
   Result demodulate(std::span<const cplx> burst, std::size_t payload_bits,
                     std::vector<cvec>* data_tones = nullptr) const;
+
+  /// demodulate() into a caller-owned Result, with every intermediate
+  /// buffer in `scratch`: bit-identical output, and no burst-sized
+  /// allocation once `out`, `scratch` and `data_tones` are warm.
+  void demodulate_into(std::span<const cplx> burst,
+                       std::size_t payload_bits, Result& out,
+                       Scratch& scratch,
+                       std::vector<cvec>* data_tones = nullptr) const;
 
   /// Equalized constellation-domain data cells per payload symbol —
   /// the input to EVM measurements.
   std::vector<cvec> extract_data_tones(std::span<const cplx> burst,
                                        std::size_t n_symbols) const;
 
+  /// extract_data_tones() into caller-owned buffers.
+  void extract_data_tones_into(std::span<const cplx> burst,
+                               std::size_t n_symbols,
+                               std::vector<cvec>& out,
+                               Scratch& scratch) const;
+
+  /// set_equalizer(estimate_equalizer(burst)) in place: the estimate is
+  /// written over the installed equalizer's storage.
+  void train_equalizer(std::span<const cplx> burst, Scratch& scratch);
+
   /// Sample offset of the first payload symbol within a burst.
   std::size_t payload_offset() const;
 
  private:
-  cvec demod_bins(std::span<const cplx> burst, std::size_t offset,
-                  bool equalized) const;
+  void demod_bins(std::span<const cplx> burst, std::size_t offset,
+                  bool equalized, cvec& bins) const;
   cplx pilot_rotor(const cvec& bins, const cvec& expected) const;
-  void extract_symbol(const cvec& bins, const cvec& expected_pilots,
-                      cvec& data) const;
-  void soft_demap_symbol(const cvec& data, rvec& noise_scratch,
-                         rvec& llr_out) const;
+  void extract_symbol(const cvec& bins,
+                      std::optional<core::PilotGenerator>& pilots,
+                      Scratch& scratch) const;
+  std::optional<core::PilotGenerator> pilot_generator() const;
+  void soft_noise(rvec& noise) const;
+  void estimate_equalizer_into(std::span<const cplx> burst, cvec& eq,
+                               Scratch& scratch) const;
 
   core::OfdmParams params_;
   RxOptions options_;
@@ -130,6 +173,7 @@ class MotherReceiver {
   std::optional<coding::ReedSolomon> rs_;
   std::size_t cbps_ = 0;
   std::size_t preamble_len_ = 0;
+  cvec training_;   // known training cells: LTF bins or phase reference
   cvec equalizer_;  // empty = identity
 };
 

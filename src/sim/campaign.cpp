@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "common/error.hpp"
 #include "sim/checkpoint.hpp"
@@ -44,6 +45,26 @@ struct Driver {
   std::size_t trials_done = 0;  ///< trials reduced by THIS run
   bool halted = false;
 
+  /// One warm LinkRunner per worker, touched only by that worker. A
+  /// task reuses it when it is for the runner's point, so a worker
+  /// draining a point's batches builds one runner, not one per batch.
+  /// A trial reads nothing a previous trial left in the runner, so
+  /// which runner serves a batch changes no result.
+  struct RunnerSlot {
+    std::size_t point = 0;
+    std::optional<LinkRunner> runner;
+  };
+  std::vector<RunnerSlot> runners;
+
+  LinkRunner& runner_for(std::size_t point) {
+    RunnerSlot& slot = runners[pool.worker_index()];
+    if (!slot.runner || slot.point != point) {
+      slot.runner.emplace(deck, grid[point]);
+      slot.point = point;
+    }
+    return *slot.runner;
+  }
+
   bool stop_requested() const {
     return opts.cancel != nullptr && opts.cancel->stop_requested();
   }
@@ -67,8 +88,7 @@ struct Driver {
           // Drain fast: skip the whole batch, the round is abandoned.
           round->abandoned.store(true, std::memory_order_release);
         } else {
-          LinkRunner runner(deck, grid[round->point]);
-          const std::size_t done = runner.run_trials(
+          const std::size_t done = runner_for(round->point).run_trials(
               round->first_trial + a,
               std::span<TrialResult>(round->results).subspan(a, b - a),
               opts.cancel);
@@ -135,7 +155,8 @@ CampaignResult Campaign::run(const RunOptions& opts) {
   }
 
   WorkStealingPool pool(opts.threads);
-  Driver driver{deck_, grid_, opts, pool, states, {}, 0, 0, 0, false};
+  Driver driver{deck_, grid_, opts, pool, states, {}, 0, 0, 0, false, {}};
+  driver.runners.resize(pool.thread_count());
   for (const PointSpec& p : grid_) {
     if (!states[p.index].done) driver.schedule_round(p.index);
   }

@@ -30,11 +30,15 @@ WorkStealingPool::~WorkStealingPool() {
   for (auto& t : threads_) t.join();
 }
 
+std::size_t WorkStealingPool::worker_index() const {
+  return tls_pool == this ? tls_index - 1 : workers_.size();
+}
+
 void WorkStealingPool::submit(Task task) {
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   std::size_t slot;
   if (tls_pool == this) {
-    slot = tls_index - 1;  // local deque: depth-first, cache-warm
+    slot = worker_index();  // local deque: depth-first, cache-warm
   } else {
     slot = next_victim_.fetch_add(1, std::memory_order_relaxed) %
            workers_.size();

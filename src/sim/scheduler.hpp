@@ -46,6 +46,11 @@ class WorkStealingPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
+  /// Index in [0, thread_count()) of the calling thread when it is one
+  /// of this pool's workers (e.g. inside a task), thread_count()
+  /// otherwise. Lets tasks keep per-worker state without locking.
+  std::size_t worker_index() const;
+
  private:
   struct Worker {
     std::mutex m;

@@ -23,13 +23,17 @@ struct LinkRunner::State {
   std::size_t payload_bits = 0;
   cvec channel_taps;  ///< multipath / twisted-pair FIR, empty for AWGN
 
-  // Scratch reused across the trials of run_trials calls.
-  core::Transmitter::Burst burst_scratch;
-  cvec rx_scratch;
-  std::vector<cvec> tones_scratch;  ///< rx's data tones, for EVM
+  // Trial scratch, reused by every trial the runner runs: a trial
+  // reads none of it before writing it, so no value carries over.
+  bitvec payload;
+  core::Transmitter::Burst burst;
+  cvec rx_samples;
+  rx::MotherReceiver::Result decoded;
+  rx::MotherReceiver::Scratch rx_scratch;  ///< shared by rx and ref_rx
+  std::vector<cvec> tones;      ///< rx's data tones, for EVM
+  std::vector<cvec> ref_tones;  ///< ref_rx's clean tones, for EVM
 
-  TrialResult run_one(std::size_t trial_index,
-                      core::Transmitter::Burst& burst, cvec& rx_samples);
+  TrialResult run_one(std::size_t trial_index);
 
   State(const ScenarioDeck& d, const PointSpec& p)
       : deck(d),
@@ -87,22 +91,21 @@ std::size_t LinkRunner::run_trials(std::size_t first_trial,
   State& s = *state_;
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (cancel != nullptr && cancel->stop_requested()) return i;
-    results[i] =
-        s.run_one(first_trial + i, s.burst_scratch, s.rx_scratch);
+    results[i] = s.run_one(first_trial + i);
   }
   return results.size();
 }
 
-TrialResult LinkRunner::State::run_one(std::size_t trial_index,
-                                       core::Transmitter::Burst& burst,
-                                       cvec& rx_samples) {
+TrialResult LinkRunner::State::run_one(std::size_t trial_index) {
   const auto t0 = std::chrono::steady_clock::now();
   State& s = *this;
   const ScenarioDeck& d = s.deck;
 
   // Everything stochastic in this trial flows from one substream.
   Rng rng = Rng::substream(d.seed, s.point.index, trial_index);
-  const bitvec payload = rng.bits(s.payload_bits);
+  s.payload.resize(s.payload_bits);
+  rng.bits_into(s.payload);
+  const bitvec& payload = s.payload;
   const std::uint64_t phase_noise_seed = rng.next_u64();
   const std::uint64_t awgn_seed = rng.next_u64();
   // Drawn last (and only for standard presets) so decks without one
@@ -152,7 +155,7 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index,
   chain.process(burst.samples, rx_samples);
 
   if (d.rx_equalize) {
-    s.rx.set_equalizer(s.rx.estimate_equalizer(rx_samples));
+    s.rx.train_equalizer(rx_samples, s.rx_scratch);
   } else {
     s.rx.clear_equalizer();
   }
@@ -162,8 +165,9 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index,
   if (s.rx.soft_path_active()) {
     s.rx.set_noise_from_sample_variance(noise_power);
   }
-  const auto decoded = s.rx.demodulate(
-      rx_samples, payload.size(), d.measure_evm ? &s.tones_scratch : nullptr);
+  s.rx.demodulate_into(rx_samples, payload.size(), s.decoded, s.rx_scratch,
+                       d.measure_evm ? &s.tones : nullptr);
+  const rx::MotherReceiver::Result& decoded = s.decoded;
 
   TrialResult r;
   metrics::BerResult b;
@@ -179,15 +183,15 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index,
   r.errors = b.errors;
 
   if (d.measure_evm) {
-    const auto ref_tones =
-        s.ref_rx.extract_data_tones(burst.samples, burst.data_symbols);
+    s.ref_rx.extract_data_tones_into(burst.samples, burst.data_symbols,
+                                     s.ref_tones, s.rx_scratch);
     // demodulate() pads to the transmitter's symbol count, so its tones
     // cover every data symbol of the burst.
-    OFDM_REQUIRE(s.tones_scratch.size() >= ref_tones.size(),
+    OFDM_REQUIRE(s.tones.size() >= s.ref_tones.size(),
                  "sim: receiver demodulated fewer symbols than sent");
-    for (std::size_t sym = 0; sym < ref_tones.size(); ++sym) {
-      const cvec& a = s.tones_scratch[sym];
-      const cvec& b2 = ref_tones[sym];
+    for (std::size_t sym = 0; sym < s.ref_tones.size(); ++sym) {
+      const cvec& a = s.tones[sym];
+      const cvec& b2 = s.ref_tones[sym];
       const std::size_t n = std::min(a.size(), b2.size());
       for (std::size_t i = 0; i < n; ++i) {
         r.evm_err2 += std::norm(a[i] - b2[i]);

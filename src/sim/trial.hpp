@@ -2,11 +2,14 @@
 // TX -> RF chain (optional PA / phase noise, channel preset, AWGN at
 // the point's SNR) -> reference receiver -> BER/EVM counters.
 //
-// A LinkRunner is built per (point, worker task); each trial of
-// run_trials() is a pure function of (campaign_seed, point_index,
-// trial_index) — payload bits and every stochastic block seed derive
-// from Rng::substream — so the same trial computed by any worker, in
-// any order, after any resume, contributes identical counts.
+// A campaign keeps one LinkRunner per worker and reuses it for that
+// worker's next batch of the same point. Each trial of run_trials() is
+// a pure function of (campaign_seed, point_index, trial_index) —
+// payload bits and every stochastic block seed derive from
+// Rng::substream — and reads nothing an earlier trial left in the
+// runner's scratch, so the same trial computed by any worker, on a
+// fresh or a warm runner, in any order, after any resume, contributes
+// identical counts.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +31,14 @@ class LinkRunner {
   LinkRunner& operator=(LinkRunner&&) noexcept;
 
   /// Run `results.size()` consecutive Monte-Carlo trials starting at
-  /// `first_trial`, reusing the runner's burst and chunk buffers across
-  /// the batch; TrialResult::seconds is filled with each trial's wall
-  /// time. results[i] depends only on first_trial + i, never on the
-  /// batch it ran in. When `cancel` is non-null it is polled between
-  /// trials; on a stop request the batch returns early and only the
-  /// first `return value` entries of `results` are valid (the caller
-  /// discards the batch).
+  /// `first_trial`, reusing the runner's trial scratch (payload, burst,
+  /// received samples, every receiver stage, EVM tones) across the
+  /// batch and across calls; TrialResult::seconds is filled with each
+  /// trial's wall time. results[i] depends only on first_trial + i,
+  /// never on the batch it ran in or the trials run before it. When
+  /// `cancel` is non-null it is polled between trials; on a stop
+  /// request the batch returns early and only the first `return value`
+  /// entries of `results` are valid (the caller discards the batch).
   std::size_t run_trials(std::size_t first_trial,
                          std::span<TrialResult> results,
                          const CancelToken* cancel = nullptr);

@@ -43,6 +43,24 @@ TEST(ConvEncoder, RateOutputLengths) {
   EXPECT_EQ(puncture(coded, puncture_3_4()).size(), coded.size() * 2 / 3);
 }
 
+TEST(Puncture, FusedEncodeMatchesEncodeThenPuncture) {
+  // The transmitter's one-pass encoder must reproduce the two-step
+  // reference at every rate, for message lengths that end the puncture
+  // period at each phase, into a reused output buffer.
+  Rng rng(43);
+  const ConvEncoder enc(k7_industry_code());
+  bitvec fused;
+  for (const PuncturePattern& pat :
+       {puncture_none(), puncture_2_3(), puncture_3_4()}) {
+    for (std::size_t n : {0u, 1u, 2u, 3u, 61u, 200u}) {
+      const bitvec msg = rng.bits(n);
+      enc.encode_punctured_into(msg, pat, fused);
+      EXPECT_EQ(fused, puncture(enc.encode_terminated(msg), pat))
+          << "message bits " << n << ", period " << pat.period();
+    }
+  }
+}
+
 TEST(Puncture, DepunctureRestoresGeometryWithErasures) {
   Rng rng(42);
   const ConvEncoder enc(k7_industry_code());

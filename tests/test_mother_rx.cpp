@@ -1,6 +1,7 @@
 // RX Mother Model tests: one parameter-driven receiver family covering
 // all ten standards. Coded and uncoded (pre-FEC) loopbacks per
-// standard, the +fec reference-FEC overlay, timing acquisition, the
+// standard, the padding-symbol skip at symbol-boundary payload sizes,
+// the +fec reference-FEC overlay, timing acquisition, the
 // soft-vs-hard decoding ordering on AWGN, and per-standard receiver
 // descriptors.
 #include <gtest/gtest.h>
@@ -8,7 +9,9 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <vector>
 
+#include "coding/convolutional.hpp"
 #include "common/rng.hpp"
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
@@ -99,6 +102,111 @@ TEST_P(MotherRxFamily, DemodulateHandsBackTheExtractedTones) {
   ASSERT_GE(tones.size(), burst.data_symbols);
   EXPECT_EQ(tones, rx.extract_data_tones(noisy, tones.size()))
       << "standard: " << core::standard_name(GetParam());
+}
+
+// Punctured coded length of an n-bit payload: RS block fill, then the
+// convolutional encoder's own terminated, punctured output length.
+std::size_t punctured_bits(const OfdmParams& p, std::size_t n) {
+  std::size_t bits = n;
+  if (p.fec.rs_enabled) {
+    const std::size_t bytes = (n + 7) / 8;
+    bits = std::max<std::size_t>((bytes + p.fec.rs_k - 1) / p.fec.rs_k, 1) *
+           p.fec.rs_n * 8;
+  }
+  if (p.fec.conv_enabled) {
+    const coding::ConvEncoder enc(p.fec.conv);
+    bits = coding::puncture(enc.encode_terminated(bitvec(bits, 0)),
+                            p.fec.puncture)
+               .size();
+  }
+  return bits;
+}
+
+// Largest payload whose punctured length is below `limit` (0 if none);
+// the length grows monotonically with the payload.
+std::size_t last_payload_below(const OfdmParams& p, std::size_t limit) {
+  std::size_t lo = 0;
+  std::size_t hi = limit;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi + 1) / 2;
+    if (punctured_bits(p, mid) < limit) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+TEST_P(MotherRxFamily, PaddingSymbolSkipEdgesRoundTrip) {
+  // The coded receiver demaps only the symbols that carry coded bits.
+  // Payloads whose punctured length ends just before, exactly on and
+  // just after a symbol boundary, inside a frame that still pads, must
+  // decode exactly with hard and soft demapping; the uncoded tap still
+  // returns every symbol. Profiles with an outer code also run without
+  // it: RS blocks move the punctured length in steps that never land
+  // on a boundary, the bare inner code does.
+  const OfdmParams profile = core::profile_for(GetParam());
+  std::vector<OfdmParams> variants = {profile};
+  if (profile.fec.rs_enabled) {
+    variants.push_back(profile);
+    variants.back().fec.rs_enabled = false;
+  }
+  for (const OfdmParams& params : variants) {
+    core::Transmitter tx(params);
+    const std::size_t cbps = tx.bits_per_symbol();
+    const std::size_t frame = params.frame.symbols_per_frame;
+    // The first boundary k*cbps with at least one padding symbol left
+    // after it, hit exactly when the code can.
+    std::size_t boundary = 0;
+    for (std::size_t k = 1; k + 1 < frame && boundary == 0; ++k) {
+      const std::size_t b = k * cbps;
+      const std::size_t on = last_payload_below(params, b + 1);
+      if (last_payload_below(params, b) == 0) continue;
+      if (params.fec.rs_enabled || punctured_bits(params, on) == b) {
+        boundary = b;
+      }
+    }
+    ASSERT_GT(boundary, 0u) << "no boundary for "
+                            << core::standard_name(GetParam());
+    const std::size_t on = last_payload_below(params, boundary + 1);
+    const std::size_t sizes[] = {last_payload_below(params, boundary), on,
+                                 on + 1};
+    if (!params.fec.rs_enabled) {
+      // One bit either side where the code rate reaches it; a rate-1/2
+      // code moves two bits at a time.
+      EXPECT_LE(boundary - punctured_bits(params, sizes[0]), 2u);
+      EXPECT_LE(punctured_bits(params, sizes[2]) - boundary, 2u);
+    }
+
+    rx::MotherReceiver rx(params);
+    rx::MotherReceiver::Result result;
+    rx::MotherReceiver::Scratch scratch;
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + 404);
+    for (const std::size_t n : sizes) {
+      const bitvec payload = rng.bits(n);
+      const auto burst = tx.modulate(payload);
+      const std::string where = core::standard_name(GetParam()) +
+                                (params.fec.rs_enabled ? "" : " (no RS)") +
+                                ", payload " + std::to_string(n) +
+                                ", punctured " +
+                                std::to_string(punctured_bits(params, n));
+      ASSERT_LT(punctured_bits(params, n), burst.data_symbols * cbps)
+          << where << ": no padding symbol to skip";
+      for (const auto demap :
+           {mapping::DemapMode::kHard, mapping::DemapMode::kSoft}) {
+        rx.set_mode(rx::RxMode::kCoded);
+        rx.set_demap(demap);
+        rx.demodulate_into(burst.samples, n, result, scratch);
+        EXPECT_EQ(result.payload, payload)
+            << where << ", " << mapping::demap_mode_name(demap);
+      }
+      rx.set_mode(rx::RxMode::kUncoded);
+      rx.demodulate_into(burst.samples, n, result, scratch);
+      EXPECT_EQ(result.raw_bits.size(), result.symbols * cbps) << where;
+      EXPECT_EQ(result.raw_bits, tx.encode_payload(payload)) << where;
+    }
+  }
 }
 
 TEST_P(MotherRxFamily, DescriptorNamesEveryStage) {

@@ -1,6 +1,7 @@
 // Campaign-engine tests: deck parsing (errors name their field), grid
 // expansion, the CI early-stop rule, checkpoint/resume byte-identity of
-// the exported curves, and thread-count invariance.
+// the exported curves, thread-count invariance, and trials that do not
+// depend on the runner's history.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/deck.hpp"
 #include "sim/estimator.hpp"
+#include "sim/trial.hpp"
 
 namespace {
 
@@ -457,6 +459,54 @@ TEST(SimCampaign, StandardChannelCurvesAreThreadAndResumeInvariant) {
   const auto resumed_result = resumed.run(resume_opts);
   EXPECT_EQ(sim::curves_json(resumed.deck(), resumed_result), ref_json);
   std::remove(ckpt.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Runner reuse: a trial must not see what earlier trials left behind
+
+TEST(LinkRunner, TrialIsIndependentOfRunnerHistory) {
+  // The campaign keeps one warm runner per worker, so a trial may run on
+  // a fresh runner or after any other trials of its point, depending on
+  // the schedule. Either way it must give the same result, field for
+  // field, on every link the runner builds: coded and uncoded, soft and
+  // hard, AWGN, multipath and a fading preset, with and without the PA
+  // and phase noise.
+  const char* decks[] = {
+      "name=history_soft\n"
+      "standard=wlan_80211a@12,wman_80216a,adsl+fec\n"
+      "channel=awgn,multipath,sui_3\n"
+      "rx=coded,uncoded\nrx.soft=1\n"
+      "pa.backoff_db=4\nphase_noise.linewidth_hz=200\n"
+      "payload_bits=512\nsnr_db=7\nseed=21\n",
+      "name=history_hard\n"
+      "standard=wlan_80211a@12,wman_80216a,adsl+fec\n"
+      "channel=awgn,multipath,sui_3\n"
+      "rx=coded,uncoded\n"
+      "payload_bits=512\nsnr_db=7\nseed=22\n",
+  };
+  constexpr std::size_t kTrial = 3;
+  for (const char* text : decks) {
+    const sim::ScenarioDeck deck = sim::parse_deck(text);
+    for (const sim::PointSpec& point : sim::expand_grid(deck)) {
+      sim::TrialResult fresh;
+      sim::LinkRunner(deck, point).run_trials(kTrial, {&fresh, 1});
+
+      sim::LinkRunner warm(deck, point);
+      sim::TrialResult others[3];
+      warm.run_trials(5, {others, 1});
+      warm.run_trials(0, {others + 1, 2});
+      sim::TrialResult again;
+      warm.run_trials(kTrial, {&again, 1});
+
+      const std::string where = deck.name + " point " +
+                                std::to_string(point.index);
+      EXPECT_GT(fresh.bits, 0u) << where;
+      EXPECT_EQ(again.bits, fresh.bits) << where;
+      EXPECT_EQ(again.errors, fresh.errors) << where;
+      EXPECT_EQ(again.evm_err2, fresh.evm_err2) << where;
+      EXPECT_EQ(again.evm_ref2, fresh.evm_ref2) << where;
+    }
+  }
 }
 
 TEST(SimCheckpoint, RejectsDigestMismatch) {

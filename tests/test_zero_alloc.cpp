@@ -1,11 +1,14 @@
-// Steady-state allocation audit for the streaming RF datapath.
+// Steady-state allocation audit for the streaming RF datapath and the
+// campaign trial.
 //
 // The simulation loop (rf::run and Netlist::run) is supposed to be
 // allocation-free once every reusable buffer has reached its final
 // capacity: process-into APIs, ping-pong chain buffers, per-plan FFT
 // scratch. This test replaces global operator new with a counting hook,
 // warms the chain up, then asserts that further chunks perform zero
-// heap allocations.
+// heap allocations. A warm campaign trial keeps every burst- and
+// symbol-sized buffer in its runner's scratch, so it makes no
+// allocation of 1 KiB or more.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,15 +27,23 @@
 #include "rf/papr_reduction.hpp"
 #include "rf/sinks.hpp"
 #include "rf/submodel.hpp"
+#include "sim/deck.hpp"
+#include "sim/trial.hpp"
 
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocs{0};
+/// Allocations of at least kLargeAlloc bytes (burst- or symbol-sized).
+constexpr std::size_t kLargeAlloc = 1024;
+std::atomic<std::size_t> g_large_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size >= kLargeAlloc) {
+      g_large_allocs.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
@@ -52,10 +63,18 @@ namespace {
 template <typename Fn>
 std::size_t count_allocs(Fn&& fn) {
   g_allocs.store(0, std::memory_order_relaxed);
+  g_large_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   fn();
   g_counting.store(false, std::memory_order_relaxed);
   return g_allocs.load(std::memory_order_relaxed);
+}
+
+/// Allocations of at least kLargeAlloc bytes performed by `fn`.
+template <typename Fn>
+std::size_t count_large_allocs(Fn&& fn) {
+  count_allocs(fn);
+  return g_large_allocs.load(std::memory_order_relaxed);
 }
 
 TEST(ZeroAlloc, SteadyStateChainRunDoesNotAllocate) {
@@ -221,6 +240,28 @@ TEST(ZeroAlloc, EmptyChainPassesThroughWithOneAssign) {
   EXPECT_EQ(allocs, 0u);
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], in[i]);
+}
+
+TEST(ZeroAlloc, WarmCodedTrialMakesNoBurstSizedAllocation) {
+  // The coded_awgn benchmark's link. After one warm-up trial the payload,
+  // the coded stream, the AWGN noise, every demodulate() stage and the
+  // EVM reference tones live in buffers the runner keeps, so a trial
+  // makes no allocation of 1 KiB or more (small ones remain: the
+  // per-trial RF chain, RS code words).
+  const sim::ScenarioDeck deck = sim::parse_deck(
+      "name=zero_alloc\n"
+      "standard=wlan_80211a@12,dvbt,wman_80216a,adsl+fec\n"
+      "channel=awgn\nrx=coded\nrx.soft=1\n"
+      "payload_bits=4096\nsnr_db=6\nseed=3\n");
+  for (const sim::PointSpec& point : sim::expand_grid(deck)) {
+    sim::LinkRunner runner(deck, point);
+    sim::TrialResult r;
+    runner.run_trials(0, {&r, 1});  // warm-up
+    const std::size_t large =
+        count_large_allocs([&] { runner.run_trials(1, {&r, 1}); });
+    EXPECT_EQ(large, 0u) << deck.standards[point.standard_index].token;
+    EXPECT_EQ(r.bits, 4096u);
+  }
 }
 
 }  // namespace
