@@ -1,8 +1,8 @@
 // RX Mother Model stage throughput per standard: synchronize (timing
 // acquisition), estimate_equalizer (training-based channel estimation),
-// demap_soft (the SIMD max-log LLR kernel over a block of data cells)
-// and soft-decision Viterbi decoding, each timed in isolation on the
-// standard's own burst/constellation/code.
+// demap_soft (the separable max-log LLR demapper over a block of data
+// cells) and soft-decision Viterbi decoding, each timed in isolation on
+// the standard's own burst/constellation/code.
 //
 // Stages a standard's receiver does not engage are skipped: DMT
 // standards have no fixed constellation (no demap_soft row), uncoded
@@ -136,17 +136,18 @@ int main(int argc, char** argv) {
     }
 
     if (params.mapping == core::MappingKind::kFixed) {
-      // A burst-sized block of noiseless cells through the SIMD
-      // max-log LLR kernel (uniform noise floor, like the receiver's
+      // A burst-sized block of noiseless cells through the max-log LLR
+      // demapper (one noise floor for every cell, like the receiver's
       // equalizer-flat path).
       const auto cons = mapping::Constellation::make(params.scheme);
       const std::size_t n_cells = 4096;
       const bitvec cell_bits = rng.bits(n_cells * cons.bits());
       cvec cells;
       cons.map_into(cell_bits, cells);
+      const double noise_var = 1.0;
       rvec llr;
       add("demap_soft", ops_per_second(trials, [&] {
-            cons.demap_soft_into(cells, 1.0, llr);
+            cons.demap_soft_into(cells, {&noise_var, 1}, llr);
             g_sink = g_sink + llr[0];
           }));
     }

@@ -30,8 +30,8 @@ configuration got slower relative to the checked-in numbers from the
 same environment.
 
 --rx runs bench_rx (the RX Mother Model's per-standard stage
-throughput: synchronize, estimate_equalizer, the SIMD soft-demap
-kernel and soft-decision Viterbi, each timed in isolation) and
+throughput: synchronize, estimate_equalizer, the separable max-log
+soft demapper and soft-decision Viterbi, each timed in isolation) and
 compares each stage's ops-per-second against the BENCH_rx.json
 baseline. Machine-relative, like --sim.
 

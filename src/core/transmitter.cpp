@@ -194,6 +194,11 @@ bitvec Transmitter::encode_payload(
   return out;
 }
 
+const bitvec& Transmitter::last_coded_bits() const {
+  OFDM_REQUIRE(state_, kUnconfigured);
+  return state_->coded;
+}
+
 void Transmitter::State::encode(std::span<const std::uint8_t> payload_bits,
                                 std::size_t target, EncodeScratch& ws,
                                 bitvec& out) const {
@@ -353,7 +358,7 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
         s.constellation->map_into(mapped_bits, cells);
         break;
       case MappingKind::kDifferential:
-        cells = s.diff->map_symbol(mapped_bits);
+        s.diff->map_symbol_into(mapped_bits, cells);
         break;
       case MappingKind::kBitTable:
         s.dmt->map_symbol_into(mapped_bits, cells);

@@ -86,6 +86,10 @@ class Transmitter {
   /// and the RT-level cross-check.
   bitvec encode_payload(std::span<const std::uint8_t> payload_bits) const;
 
+  /// The coded stream of the last modulate() or modulate_into() call:
+  /// encode_payload() of its payload, held rather than encoded again.
+  const bitvec& last_coded_bits() const;
+
   /// Training samples this configuration prepends (empty if none).
   cvec preamble_samples() const;
 

@@ -98,21 +98,6 @@ struct Kernels {
   void (*map_lut)(const std::uint8_t* bits, std::size_t n_sym,
                   std::size_t bps, const cplx* lut, cplx* out);
 
-  /// Max-log soft demap. For symbol j and bit b (MSB-first over n_bits):
-  ///   out[j * n_bits + b] = (d1 - d0) / noise_var[j * nv_stride]
-  /// where d_c is the minimum squared distance dr*dr + di*di (dr/di the
-  /// component differences against points[idx]) over point indices whose
-  /// bit b equals c, scanned in ascending idx order with the scalar
-  /// `d < best` update. nv_stride is 0 (one variance for the whole
-  /// batch) or 1 (per-symbol variance, the per-tone equalizer weighting).
-  /// n_bits in [1, 16]; n_points == 1 << n_bits. Tiers vectorize across
-  /// symbols only — the per-point min scan keeps scalar order, and the
-  /// final subtract/divide is per-lane IEEE-exact.
-  void (*demap_soft)(const cplx* syms, std::size_t n_sym,
-                     const cplx* points, std::size_t n_points,
-                     std::size_t n_bits, const double* noise_var,
-                     std::size_t nv_stride, double* out);
-
   /// Viterbi forward pass: `steps` add-compare-select steps in butterfly
   /// order over a trellis of `states` = 2^(K-1) states, 2 <= states <=
   /// 256. Next state ns has predecessors s0 = 2*(ns mod states/2) and

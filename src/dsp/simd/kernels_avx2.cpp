@@ -313,86 +313,6 @@ void rvec_add(double* a, const double* b, std::size_t n) {
   for (; i < n; ++i) a[i] += b[i];
 }
 
-void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
-                std::size_t n_points, std::size_t n_bits,
-                const double* noise_var, std::size_t nv_stride,
-                double* out) {
-  const __m256d big = _mm256_set1_pd(1e300);
-  std::size_t j = 0;
-  // Four symbols per iteration. unpacklo/hi over the two 128-bit halves
-  // leaves the lanes in symbol order [j, j+2, j+1, j+3]; the stores (and
-  // the per-symbol noise-variance gather) follow that order. Lanes are
-  // independent, so the scramble never mixes symbols. _mm256_min_pd
-  // keeps the incumbent on ties, matching the scalar `d < best` update.
-  for (; j + 4 <= n_sym; j += 4) {
-    __m256d d0[16];
-    __m256d d1[16];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      d0[b] = big;
-      d1[b] = big;
-    }
-    const __m256d sa = load2(syms + j);
-    const __m256d sb = load2(syms + j + 2);
-    const __m256d s_re = _mm256_unpacklo_pd(sa, sb);
-    const __m256d s_im = _mm256_unpackhi_pd(sa, sb);
-    for (std::size_t idx = 0; idx < n_points; ++idx) {
-      const __m256d dr =
-          _mm256_sub_pd(s_re, _mm256_set1_pd(points[idx].real()));
-      const __m256d di =
-          _mm256_sub_pd(s_im, _mm256_set1_pd(points[idx].imag()));
-      const __m256d d =
-          _mm256_add_pd(_mm256_mul_pd(dr, dr), _mm256_mul_pd(di, di));
-      for (std::size_t b = 0; b < n_bits; ++b) {
-        if ((idx >> (n_bits - 1 - b)) & 1u) {
-          d1[b] = _mm256_min_pd(d1[b], d);
-        } else {
-          d0[b] = _mm256_min_pd(d0[b], d);
-        }
-      }
-    }
-    const __m256d nv =
-        nv_stride == 0
-            ? _mm256_set1_pd(noise_var[0])
-            : _mm256_permute4x64_pd(_mm256_loadu_pd(noise_var + j),
-                                    _MM_SHUFFLE(3, 1, 2, 0));
-    double lanes[4];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      _mm256_storeu_pd(lanes,
-                       _mm256_div_pd(_mm256_sub_pd(d1[b], d0[b]), nv));
-      out[(j + 0) * n_bits + b] = lanes[0];
-      out[(j + 2) * n_bits + b] = lanes[1];
-      out[(j + 1) * n_bits + b] = lanes[2];
-      out[(j + 3) * n_bits + b] = lanes[3];
-    }
-  }
-  for (; j < n_sym; ++j) {
-    double d0[16];
-    double d1[16];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      d0[b] = 1e300;
-      d1[b] = 1e300;
-    }
-    const double s_re = syms[j].real();
-    const double s_im = syms[j].imag();
-    for (std::size_t idx = 0; idx < n_points; ++idx) {
-      const double dr = s_re - points[idx].real();
-      const double di = s_im - points[idx].imag();
-      const double d = dr * dr + di * di;
-      for (std::size_t b = 0; b < n_bits; ++b) {
-        if ((idx >> (n_bits - 1 - b)) & 1u) {
-          if (d < d1[b]) d1[b] = d;
-        } else {
-          if (d < d0[b]) d0[b] = d;
-        }
-      }
-    }
-    const double nv = noise_var[j * nv_stride];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      out[j * n_bits + b] = (d1[b] - d0[b]) / nv;
-    }
-  }
-}
-
 // --- IQ wire codec (Muła & Lemire, arXiv:1704.00605) --------------------
 // One 32-digit block is 24 bytes, six float32, three samples. Each
 // 128-bit lane carries 12 of the bytes: lane 0 bytes 0..11, lane 1
@@ -508,7 +428,6 @@ const Kernels& avx2_kernels() {
       avx2::cvec_scale,
       avx2::rvec_add,
       scalar_kernels().map_lut,
-      avx2::demap_soft,
       // A 4-lane ACS ran no faster end to end than the 2-lane one.
       sse2_kernels().viterbi_acs,
       avx2::iq_pack,

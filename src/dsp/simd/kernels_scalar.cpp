@@ -174,39 +174,6 @@ void map_lut(const std::uint8_t* bits, std::size_t n_sym,
   }
 }
 
-void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
-                std::size_t n_points, std::size_t n_bits,
-                const double* noise_var, std::size_t nv_stride,
-                double* out) {
-  for (std::size_t j = 0; j < n_sym; ++j) {
-    double d0[16];
-    double d1[16];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      d0[b] = 1e300;
-      d1[b] = 1e300;
-    }
-    const double s_re = syms[j].real();
-    const double s_im = syms[j].imag();
-    for (std::size_t idx = 0; idx < n_points; ++idx) {
-      const double dr = s_re - points[idx].real();
-      const double di = s_im - points[idx].imag();
-      const double d = dr * dr + di * di;
-      for (std::size_t b = 0; b < n_bits; ++b) {
-        if ((idx >> (n_bits - 1 - b)) & 1u) {
-          if (d < d1[b]) d1[b] = d;
-        } else {
-          if (d < d0[b]) d0[b] = d;
-        }
-      }
-    }
-    const double nv = noise_var[j * nv_stride];
-    double* o = out + j * n_bits;
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      o[b] = (d1[b] - d0[b]) / nv;
-    }
-  }
-}
-
 void viterbi_acs(double* metric, std::size_t states,
                  const std::uint32_t* branch, const double* bm,
                  std::size_t n_bm, std::size_t steps, std::uint64_t* dec) {
@@ -345,7 +312,6 @@ const Kernels& scalar_kernels() {
       scalar::cvec_scale,
       scalar::rvec_add,
       scalar::map_lut,
-      scalar::demap_soft,
       scalar::viterbi_acs,
       scalar::iq_pack,
       scalar::iq_unpack,

@@ -232,78 +232,6 @@ void rvec_add(double* a, const double* b, std::size_t n) {
   for (; i < n; ++i) a[i] += b[i];
 }
 
-void demap_soft(const cplx* syms, std::size_t n_sym, const cplx* points,
-                std::size_t n_points, std::size_t n_bits,
-                const double* noise_var, std::size_t nv_stride,
-                double* out) {
-  const __m128d big = _mm_set1_pd(1e300);
-  std::size_t j = 0;
-  // Two symbols per iteration, one lane each. The min scan over points
-  // stays in scalar (ascending idx) order per lane; _mm_min_pd keeps
-  // the incumbent on ties, matching the scalar `d < best` update (all
-  // distances are non-negative, so ±0.0 never disagrees).
-  for (; j + 2 <= n_sym; j += 2) {
-    __m128d d0[16];
-    __m128d d1[16];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      d0[b] = big;
-      d1[b] = big;
-    }
-    const __m128d sa = load(syms + j);
-    const __m128d sb = load(syms + j + 1);
-    const __m128d s_re = _mm_unpacklo_pd(sa, sb);
-    const __m128d s_im = _mm_unpackhi_pd(sa, sb);
-    for (std::size_t idx = 0; idx < n_points; ++idx) {
-      const __m128d dr = _mm_sub_pd(s_re, _mm_set1_pd(points[idx].real()));
-      const __m128d di = _mm_sub_pd(s_im, _mm_set1_pd(points[idx].imag()));
-      const __m128d d =
-          _mm_add_pd(_mm_mul_pd(dr, dr), _mm_mul_pd(di, di));
-      for (std::size_t b = 0; b < n_bits; ++b) {
-        if ((idx >> (n_bits - 1 - b)) & 1u) {
-          d1[b] = _mm_min_pd(d1[b], d);
-        } else {
-          d0[b] = _mm_min_pd(d0[b], d);
-        }
-      }
-    }
-    const __m128d nv =
-        nv_stride == 0 ? _mm_set1_pd(noise_var[0])
-                       : _mm_set_pd(noise_var[j + 1], noise_var[j]);
-    double lanes[2];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      _mm_storeu_pd(lanes, _mm_div_pd(_mm_sub_pd(d1[b], d0[b]), nv));
-      out[j * n_bits + b] = lanes[0];
-      out[(j + 1) * n_bits + b] = lanes[1];
-    }
-  }
-  for (; j < n_sym; ++j) {
-    double d0[16];
-    double d1[16];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      d0[b] = 1e300;
-      d1[b] = 1e300;
-    }
-    const double s_re = syms[j].real();
-    const double s_im = syms[j].imag();
-    for (std::size_t idx = 0; idx < n_points; ++idx) {
-      const double dr = s_re - points[idx].real();
-      const double di = s_im - points[idx].imag();
-      const double d = dr * dr + di * di;
-      for (std::size_t b = 0; b < n_bits; ++b) {
-        if ((idx >> (n_bits - 1 - b)) & 1u) {
-          if (d < d1[b]) d1[b] = d;
-        } else {
-          if (d < d0[b]) d0[b] = d;
-        }
-      }
-    }
-    const double nv = noise_var[j * nv_stride];
-    for (std::size_t b = 0; b < n_bits; ++b) {
-      out[j * n_bits + b] = (d1[b] - d0[b]) / nv;
-    }
-  }
-}
-
 /// Two next states ns, ns+1 of one trellis half: m0/m1 hold the s0/s1
 /// predecessor metrics, i0/i1 their branch-metric indices. Returns the
 /// decision bits, lane k at bit k.
@@ -378,7 +306,6 @@ const Kernels& sse2_kernels() {
       sse2::cvec_scale,
       sse2::rvec_add,
       scalar_kernels().map_lut,
-      sse2::demap_soft,
       sse2::viterbi_acs,
       // No 128-bit IQ codec: the scalar one serves until an SSE2
       // version wins end to end.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -17,6 +18,13 @@ namespace {
 constexpr std::size_t kLutMaxBits = 10;
 // Stack chunk for the batched hard demap's scale pass.
 constexpr std::size_t kDemapChunk = 128;
+// Symbols per stack block of the soft demapper: a block's per-axis
+// class minima are 2 axes x 8 bits x 2 classes x kSoftBlock doubles.
+constexpr std::size_t kSoftBlock = 32;
+// Ceiling of a bit class's squared distance, as in an exhaustive scan
+// from 1e300: a symbol whose distances overflow, or a NaN symbol (its
+// minima stay +inf), gives a zero LLR rather than inf - inf.
+constexpr double kFarDistance = 1e300;
 }  // namespace
 
 std::size_t bits_per_symbol(Scheme s) {
@@ -170,61 +178,109 @@ void Constellation::demap_into(std::span<const cplx> symbols,
   }
 }
 
-const cplx* Constellation::soft_points(cvec& scratch) const {
-  // The LUT built at construction is exactly the max-log point table
-  // (index = the symbol's bits). Above kLutMaxBits (the 1 MiB-per-
-  // instance rectangular extremes) compute it on demand.
-  if (!lut_.empty()) return lut_.data();
-  scratch.resize(size());
-  for (std::size_t i = 0; i < scratch.size(); ++i) scratch[i] = point(i);
-  return scratch.data();
+namespace {
+
+// One axis of the separable max-log search over a block of kSoftBlock
+// coordinates `s`: cls[b][c][j] is the minimum of fl((s[j] - level)²)
+// over the levels whose bit b (MSB first of n_bits) equals c, and
+// all[j] the minimum over every level. Minima start at +inf and take
+// `d < m ? d : m`, so a NaN coordinate leaves them at +inf.
+void axis_minima(const double* s, const double* levels, std::size_t n_bits,
+                 double (*cls)[2][kSoftBlock], double* all) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::fill_n(all, kSoftBlock, kInf);
+  for (std::size_t b = 0; b < n_bits; ++b) {
+    std::fill_n(cls[b][0], kSoftBlock, kInf);
+    std::fill_n(cls[b][1], kSoftBlock, kInf);
+  }
+  for (std::size_t l = 0; l < (std::size_t{1} << n_bits); ++l) {
+    double d[kSoftBlock];
+    for (std::size_t j = 0; j < kSoftBlock; ++j) {
+      const double e = s[j] - levels[l];
+      d[j] = e * e;
+    }
+    for (std::size_t j = 0; j < kSoftBlock; ++j) {
+      all[j] = d[j] < all[j] ? d[j] : all[j];
+    }
+    for (std::size_t b = 0; b < n_bits; ++b) {
+      double* m = cls[b][(l >> (n_bits - 1 - b)) & 1u];
+      for (std::size_t j = 0; j < kSoftBlock; ++j) {
+        m[j] = d[j] < m[j] ? d[j] : m[j];
+      }
+    }
+  }
 }
 
-void Constellation::demap_soft(cplx symbol, double noise_var,
-                               rvec& out) const {
-  OFDM_REQUIRE(noise_var > 0.0,
-               "demap_soft: noise variance must be positive");
-  cvec scratch;
-  const cplx* points = soft_points(scratch);
-  const std::size_t base = out.size();
-  out.resize(base + bits());
-  simd::kernels().demap_soft(&symbol, 1, points, size(), bits(),
-                             &noise_var, 0, out.data() + base);
-}
-
-rvec Constellation::demap_soft_all(std::span<const cplx> symbols,
-                                   double noise_var) const {
-  rvec out;
-  demap_soft_into(symbols, noise_var, out);
-  return out;
-}
-
-void Constellation::demap_soft_into(std::span<const cplx> symbols,
-                                    double noise_var, rvec& out) const {
-  OFDM_REQUIRE(noise_var > 0.0,
-               "demap_soft_all: noise variance must be positive");
-  cvec scratch;
-  const cplx* points = soft_points(scratch);
-  out.resize(symbols.size() * bits());
-  simd::kernels().demap_soft(symbols.data(), symbols.size(), points,
-                             size(), bits(), &noise_var, 0, out.data());
-}
+}  // namespace
 
 void Constellation::demap_soft_into(std::span<const cplx> symbols,
                                     std::span<const double> noise_var,
                                     rvec& out) const {
-  OFDM_REQUIRE_DIM(noise_var.size() == symbols.size(),
-                   "demap_soft_into: need one noise variance per symbol");
+  OFDM_REQUIRE_DIM(noise_var.size() == 1 ||
+                       noise_var.size() == symbols.size(),
+                   "demap_soft_into: need one noise variance, or one per "
+                   "symbol");
   for (const double nv : noise_var) {
     OFDM_REQUIRE(nv > 0.0,
                  "demap_soft_into: noise variance must be positive");
   }
-  cvec scratch;
-  const cplx* points = soft_points(scratch);
-  out.resize(symbols.size() * bits());
-  simd::kernels().demap_soft(symbols.data(), symbols.size(), points,
-                             size(), bits(), noise_var.data(), 1,
-                             out.data());
+  const std::size_t nv_stride = noise_var.size() == 1 ? 0 : 1;
+  const std::size_t n_bits = bits();
+  out.resize(symbols.size() * n_bits);
+
+  // Every point is (I level, Q level) / norm_, the I level set by the I
+  // bits alone and the Q level by the Q bits, so a bit's class is a
+  // product of one axis's class with the whole other axis. Rounded
+  // addition is monotone, so the exhaustive scan's class minimum
+  // min over points of fl(dI² + dQ²) is fl(min dI² + min dQ²) (in
+  // either operand order): the same double, ties included. The levels
+  // are read from point() so they are the points' own doubles
+  // (bits_q_ == 0 gives the one Q level 0).
+  double levels_i[256];
+  double levels_q[256];
+  for (std::size_t l = 0; l < (std::size_t{1} << bits_i_); ++l) {
+    levels_i[l] = point(l << bits_q_).real();
+  }
+  for (std::size_t l = 0; l < (std::size_t{1} << bits_q_); ++l) {
+    levels_q[l] = point(l).imag();
+  }
+
+  const auto capped = [](double d) { return std::min(d, kFarDistance); };
+  for (std::size_t i = 0; i < symbols.size(); i += kSoftBlock) {
+    const std::size_t n = std::min(kSoftBlock, symbols.size() - i);
+    // A partial last block is padded (cells 0, variances 1); the padded
+    // lanes are computed and never stored.
+    double s_re[kSoftBlock] = {};
+    double s_im[kSoftBlock] = {};
+    double nv[kSoftBlock];
+    std::fill_n(nv, kSoftBlock, 1.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      s_re[j] = symbols[i + j].real();
+      s_im[j] = symbols[i + j].imag();
+      nv[j] = noise_var[(i + j) * nv_stride];
+    }
+    double cls_i[8][2][kSoftBlock];
+    double cls_q[8][2][kSoftBlock];
+    double all_i[kSoftBlock];
+    double all_q[kSoftBlock];
+    axis_minima(s_re, levels_i, bits_i_, cls_i, all_i);
+    axis_minima(s_im, levels_q, bits_q_, cls_q, all_q);
+
+    for (std::size_t b = 0; b < n_bits; ++b) {
+      const bool on_i = b < bits_i_;
+      const double* m0 = on_i ? cls_i[b][0] : cls_q[b - bits_i_][0];
+      const double* m1 = on_i ? cls_i[b][1] : cls_q[b - bits_i_][1];
+      const double* other = on_i ? all_q : all_i;
+      double llr[kSoftBlock];
+      for (std::size_t j = 0; j < kSoftBlock; ++j) {
+        llr[j] = (capped(m1[j] + other[j]) - capped(m0[j] + other[j])) /
+                 nv[j];
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        out[(i + j) * n_bits + b] = llr[j];
+      }
+    }
+  }
 }
 
 std::string demap_mode_name(DemapMode m) {

@@ -74,24 +74,15 @@ class Constellation {
   /// capacity across calls).
   void demap_into(std::span<const cplx> symbols, bitvec& out) const;
 
-  /// Max-log soft demap: appends one LLR per bit, with the convention
-  /// llr > 0 => bit 0 more likely. `noise_var` scales the magnitudes
-  /// (LLR = (d1² - d0²)/noise_var with d_b the distance to the nearest
-  /// point whose bit equals b).
-  void demap_soft(cplx symbol, double noise_var, rvec& out) const;
-
-  /// Soft demap of a symbol stream.
-  rvec demap_soft_all(std::span<const cplx> symbols,
-                      double noise_var) const;
-
-  /// demap_soft_all into a caller-owned buffer (resized to
-  /// symbols.size() * bits()): the no-allocation batched path, running
-  /// the whole stream through the SIMD `demap_soft` kernel.
-  void demap_soft_into(std::span<const cplx> symbols, double noise_var,
-                       rvec& out) const;
-
-  /// Per-symbol noise variances (the per-tone equalizer weighting:
-  /// noise_var.size() must equal symbols.size()).
+  /// Max-log soft demap of a symbol stream into a caller-owned buffer
+  /// (resized to symbols.size() * bits()): one LLR per bit, I bits
+  /// first, with the convention llr > 0 => bit 0 more likely,
+  ///   LLR = (min(d1², 1e300) - min(d0², 1e300)) / noise_var
+  /// where d_b is the distance to the nearest point whose bit equals b
+  /// (a NaN symbol gives 0). `noise_var` holds one variance for the
+  /// whole stream or one per symbol (the per-tone equalizer weighting);
+  /// every variance must be positive. The search runs per axis, which
+  /// gives exactly the doubles of a scan over every point.
   void demap_soft_into(std::span<const cplx> symbols,
                        std::span<const double> noise_var,
                        rvec& out) const;
@@ -111,7 +102,6 @@ class Constellation {
   static std::size_t level_to_gray(double value, std::size_t n_bits);
   cplx compute_point(std::size_t index) const;
   void demap_scaled(cplx scaled, bitvec& out) const;
-  const cplx* soft_points(cvec& scratch) const;
 
   std::size_t bits_i_;
   std::size_t bits_q_;

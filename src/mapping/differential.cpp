@@ -78,17 +78,23 @@ std::size_t DifferentialMapper::decide_bits(double dphase,
 }
 
 cvec DifferentialMapper::map_symbol(std::span<const std::uint8_t> bits) {
+  cvec out;
+  map_symbol_into(bits, out);
+  return out;
+}
+
+void DifferentialMapper::map_symbol_into(std::span<const std::uint8_t> bits,
+                                         cvec& out) {
   OFDM_REQUIRE_DIM(bits.size() == bits_per_ofdm_symbol(),
                    "DifferentialMapper::map_symbol: wrong bit count");
   const std::size_t bps = diff_bits_per_symbol(kind_);
-  cvec out(carriers_);
+  out.resize(carriers_);
   for (std::size_t c = 0; c < carriers_; ++c) {
     const double inc = phase_increment(bits, c * bps);
     const cplx rot{std::cos(inc), std::sin(inc)};
     out[c] = ref_[c] * rot;
     ref_[c] = out[c];
   }
-  return out;
 }
 
 bitvec DifferentialMapper::demap_symbol(std::span<const cplx> received) {

@@ -25,6 +25,7 @@ class DifferentialMapper {
  public:
   DifferentialMapper(DiffKind kind, std::size_t carriers);
 
+  DiffKind kind() const { return kind_; }
   std::size_t carriers() const { return carriers_; }
   std::size_t bits_per_ofdm_symbol() const {
     return carriers_ * diff_bits_per_symbol(kind_);
@@ -40,6 +41,10 @@ class DifferentialMapper {
   /// Map one OFDM symbol worth of bits onto all carriers; returns the new
   /// complex value per carrier and advances the internal reference.
   cvec map_symbol(std::span<const std::uint8_t> bits);
+
+  /// map_symbol into a caller-owned buffer (resized to carriers(); keeps
+  /// its capacity across calls).
+  void map_symbol_into(std::span<const std::uint8_t> bits, cvec& out);
 
   /// The demapper counterpart: recover bits from the phase change between
   /// the stored reference and `received`, then advance the reference.

@@ -426,12 +426,17 @@ void MotherReceiver::demodulate_into(std::span<const cplx> burst,
   result.rs_blocks_failed = 0;
 
   // Differential demapper seeded from the *received* phase reference so
-  // a static channel phase cancels out.
-  std::optional<mapping::DifferentialMapper> diff;
+  // a static channel phase cancels out. The scratch's mapper is rebuilt
+  // only when it was made for another kind or carrier count.
+  std::optional<mapping::DifferentialMapper>& diff = ws.diff;
   if (p.mapping == MappingKind::kDifferential) {
-    diff.emplace(p.diff_kind, layout_.data_bins.size());
+    const std::size_t carriers = layout_.data_bins.size();
+    if (!diff || diff->kind() != p.diff_kind ||
+        diff->carriers() != carriers) {
+      diff.emplace(p.diff_kind, carriers);
+    }
     demod_bins(burst, p.frame.null_samples, /*equalized=*/true, ws.bins);
-    ws.data.resize(layout_.data_bins.size());
+    ws.data.resize(carriers);
     for (std::size_t i = 0; i < ws.data.size(); ++i) {
       ws.data[i] = ws.bins[layout_.data_bins[i]];
     }

@@ -21,6 +21,7 @@
 #include "core/params.hpp"
 #include "core/pilots.hpp"
 #include "dsp/fft.hpp"
+#include "mapping/differential.hpp"
 #include "rx/mother/rx_mode.hpp"
 #include "rx/sync.hpp"
 
@@ -112,6 +113,9 @@ class MotherReceiver {
     coding::ViterbiDecoder::Scratch viterbi;
     bytevec rs_words;    ///< outer code words
     bytevec message;     ///< outer-decoded message bytes
+    /// Differential demapper, re-seeded from each burst's phase
+    /// reference.
+    std::optional<mapping::DifferentialMapper> diff;
   };
 
   /// Demodulate a burst produced by Transmitter::modulate() for

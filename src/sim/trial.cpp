@@ -173,9 +173,8 @@ TrialResult LinkRunner::State::run_one(std::size_t trial_index) {
   metrics::BerResult b;
   if (d.rx_modes.at(s.point.rx_index).mode == rx::RxMode::kUncoded) {
     // Pre-FEC channel BER: the raw demapped stream (symbol padding
-    // included) against the transmitter's exact coded reference.
-    const bitvec coded_ref = s.tx.encode_payload(payload);
-    b = metrics::ber(coded_ref, decoded.raw_bits);
+    // included) against the coded stream this trial's burst carries.
+    b = metrics::ber(s.tx.last_coded_bits(), decoded.raw_bits);
   } else {
     b = metrics::ber(payload, decoded.payload);
   }

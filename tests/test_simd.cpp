@@ -24,7 +24,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/simd/dispatch.hpp"
-#include "mapping/constellation.hpp"
 #include "net/protocol.hpp"
 #include "rf/channel.hpp"
 #include "rf/channels/watterson.hpp"
@@ -168,48 +167,6 @@ TEST_F(SimdTest, FirKernelsBitIdenticalAtOddSizes) {
   }
 }
 
-TEST_F(SimdTest, DemapSoftBitIdenticalAtOddSizes) {
-  const simd::Kernels& ref = simd::scalar_kernels();
-  simd::force_tier(best_);
-  const simd::Kernels& vec = simd::kernels();
-  // Random point tables (not just Gray constellations): the contract
-  // holds for any 2^n_bits point set.
-  for (std::size_t n_bits : {std::size_t{1}, std::size_t{2},
-                             std::size_t{4}, std::size_t{6}}) {
-    const std::size_t n_points = std::size_t{1} << n_bits;
-    const cvec points = random_cvec(n_points, 900 + n_bits);
-    for (std::size_t n : kOddSizes) {
-      const cvec syms = random_cvec(n, 1000 + n);
-
-      // Broadcast noise floor (nv_stride == 0).
-      const double nv0 = 0.37;
-      rvec r(n * n_bits), v(n * n_bits);
-      ref.demap_soft(syms.data(), n, points.data(), n_points, n_bits,
-                     &nv0, 0, r.data());
-      vec.demap_soft(syms.data(), n, points.data(), n_points, n_bits,
-                     &nv0, 0, v.data());
-      EXPECT_EQ(std::memcmp(r.data(), v.data(),
-                            r.size() * sizeof(double)),
-                0)
-          << vec.name << " demap_soft bits=" << n_bits << " n=" << n
-          << " (broadcast nv)";
-
-      // Per-symbol noise floors (nv_stride == 1), strictly positive.
-      rvec nv = random_rvec(n, 1100 + n);
-      for (double& x : nv) x = 0.05 + (x + 1.0);
-      ref.demap_soft(syms.data(), n, points.data(), n_points, n_bits,
-                     nv.data(), 1, r.data());
-      vec.demap_soft(syms.data(), n, points.data(), n_points, n_bits,
-                     nv.data(), 1, v.data());
-      EXPECT_EQ(std::memcmp(r.data(), v.data(),
-                            r.size() * sizeof(double)),
-                0)
-          << vec.name << " demap_soft bits=" << n_bits << " n=" << n
-          << " (per-symbol nv)";
-    }
-  }
-}
-
 TEST_F(SimdTest, ViterbiAcsBitIdenticalAcrossTiers) {
   const simd::Kernels& ref = simd::scalar_kernels();
   std::vector<const simd::Kernels*> tiers;
@@ -266,30 +223,6 @@ TEST_F(SimdTest, ViterbiAcsBitIdenticalAcrossTiers) {
         }
       }
     }
-  }
-}
-
-TEST_F(SimdTest, ConstellationSoftDemapBitIdenticalAcrossTiers) {
-  for (const auto scheme :
-       {mapping::Scheme::kBpsk, mapping::Scheme::kQpsk,
-        mapping::Scheme::kQam16, mapping::Scheme::kQam64}) {
-    const auto cons = mapping::Constellation::make(scheme);
-    const cvec syms = random_cvec(97, 1200 + cons.bits());
-    auto run = [&](simd::Tier tier) {
-      return under_tier(tier, [&] {
-        rvec out;
-        cons.demap_soft_into(syms, 0.5, out);
-        return out;
-      });
-    };
-    const rvec scalar = run(simd::Tier::kScalar);
-    const rvec simd_out = run(best_);
-    ASSERT_EQ(scalar.size(), syms.size() * cons.bits());
-    EXPECT_EQ(std::memcmp(scalar.data(), simd_out.data(),
-                          scalar.size() * sizeof(double)),
-              0)
-        << mapping::scheme_name(scheme) << ": scalar vs "
-        << simd::tier_name(best_) << " LLR digests differ";
   }
 }
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
@@ -261,6 +262,34 @@ TEST(ZeroAlloc, WarmCodedTrialMakesNoBurstSizedAllocation) {
         count_large_allocs([&] { runner.run_trials(1, {&r, 1}); });
     EXPECT_EQ(large, 0u) << deck.standards[point.standard_index].token;
     EXPECT_EQ(r.bits, 4096u);
+  }
+}
+
+TEST(ZeroAlloc, WarmUncodedTrialMakesNoBurstSizedAllocation) {
+  // The uncoded tap, with the differential standards (DAB, HomePlug)
+  // among its links: the transmitter maps each differential symbol into
+  // its own scratch, the receiver keeps its differential demapper in
+  // the runner's scratch, and the pre-FEC reference is the coded stream
+  // the transmitter already holds. So after one warm-up trial a trial
+  // makes no allocation of 1 KiB or more, at a short payload and at
+  // each standard's recommended one (payload_bits=0).
+  for (const char* payload : {"256", "0"}) {
+    const sim::ScenarioDeck deck = sim::parse_deck(
+        std::string("name=zero_alloc_uncoded\n"
+                    "standard=dab,homeplug,wlan_80211a@6\n"
+                    "channel=awgn\nrx=uncoded\nsnr_db=6\nseed=3\n"
+                    "payload_bits=") +
+        payload + "\n");
+    for (const sim::PointSpec& point : sim::expand_grid(deck)) {
+      sim::LinkRunner runner(deck, point);
+      sim::TrialResult r;
+      runner.run_trials(0, {&r, 1});  // warm-up
+      const std::size_t large =
+          count_large_allocs([&] { runner.run_trials(1, {&r, 1}); });
+      EXPECT_EQ(large, 0u) << deck.standards[point.standard_index].token
+                           << " payload_bits=" << payload;
+      EXPECT_GT(r.bits, 0u);
+    }
   }
 }
 
