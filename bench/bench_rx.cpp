@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     if (params.fec.conv_enabled) {
       // The inner code's soft decoder on a terminated random word
       // (unpunctured: the depuncture stage is not what this row
-      // measures).
+      // measures), into reused buffers as MotherReceiver runs it.
       const coding::ConvEncoder enc(params.fec.conv);
       const coding::ViterbiDecoder vit(params.fec.conv);
       const bitvec info = rng.bits(1024);
@@ -164,8 +164,10 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < coded.size(); ++i) {
         llr[i] = coded[i] ? -1.0 : 1.0;
       }
+      coding::ViterbiDecoder::Scratch scratch;
+      bitvec out;
       add("viterbi", ops_per_second(trials, [&] {
-            const bitvec out = vit.decode_soft_terminated(llr);
+            vit.decode_soft_terminated_into(llr, scratch, out);
             g_sink = g_sink + static_cast<double>(out.size());
           }));
     }

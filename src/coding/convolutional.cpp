@@ -162,7 +162,7 @@ void depuncture_into(std::span<const std::uint8_t> punctured,
                      const PuncturePattern& pattern,
                      std::size_t coded_len_mother, bitvec& out) {
   depuncture_walk(punctured, pattern, coded_len_mother, kErasure,
-                  "depuncture", out);
+                  "depuncture_into", out);
 }
 
 void depuncture_soft_into(std::span<const double> punctured,
@@ -170,23 +170,7 @@ void depuncture_soft_into(std::span<const double> punctured,
                           std::size_t coded_len_mother,
                           std::vector<double>& out) {
   depuncture_walk(punctured, pattern, coded_len_mother, 0.0,
-                  "depuncture_soft", out);
-}
-
-std::vector<double> depuncture_soft(std::span<const double> punctured,
-                                    const PuncturePattern& pattern,
-                                    std::size_t coded_len_mother) {
-  std::vector<double> out;
-  depuncture_soft_into(punctured, pattern, coded_len_mother, out);
-  return out;
-}
-
-bitvec depuncture(std::span<const std::uint8_t> punctured,
-                  const PuncturePattern& pattern,
-                  std::size_t coded_len_mother) {
-  bitvec out;
-  depuncture_into(punctured, pattern, coded_len_mother, out);
-  return out;
+                  "depuncture_soft_into", out);
 }
 
 }  // namespace ofdm::coding

@@ -83,24 +83,16 @@ class ConvEncoder {
 bitvec puncture(std::span<const std::uint8_t> coded,
                 const PuncturePattern& pattern);
 
-/// Marks inserted by depuncture() where bits were stolen. The Viterbi
-/// decoder treats this value as an erasure (no metric contribution).
+/// Marks inserted by depuncture_into() where bits were stolen. The
+/// Viterbi decoder treats this value as an erasure (no metric
+/// contribution).
 inline constexpr std::uint8_t kErasure = 2;
 
-/// Re-insert erasure marks so the stream regains mother-code geometry.
-/// `coded_len_mother` is the unpunctured length the decoder expects.
-bitvec depuncture(std::span<const std::uint8_t> punctured,
-                  const PuncturePattern& pattern,
-                  std::size_t coded_len_mother);
-
-/// Soft-decision counterpart: stolen positions become LLR 0 (a perfect
-/// erasure under the soft Viterbi's correlation metric).
-std::vector<double> depuncture_soft(std::span<const double> punctured,
-                                    const PuncturePattern& pattern,
-                                    std::size_t coded_len_mother);
-
-/// depuncture() / depuncture_soft() into a caller-owned buffer, which is
-/// overwritten and keeps its capacity across calls.
+/// Re-insert erasure marks so the stream regains mother-code geometry,
+/// into a caller-owned buffer (overwritten; keeps its capacity across
+/// calls). `coded_len_mother` is the unpunctured length the decoder
+/// expects. The soft counterpart marks stolen positions with LLR 0 (a
+/// perfect erasure under the soft Viterbi's correlation metric).
 void depuncture_into(std::span<const std::uint8_t> punctured,
                      const PuncturePattern& pattern,
                      std::size_t coded_len_mother, bitvec& out);

@@ -78,49 +78,4 @@ PermutationInterleaver make_random_interleaver(std::size_t n,
   return PermutationInterleaver(std::move(map));
 }
 
-ConvolutionalInterleaver::ConvolutionalInterleaver(std::size_t branches,
-                                                   std::size_t depth,
-                                                   bool deinterleave)
-    : branches_(branches), depth_(depth), deinterleave_(deinterleave) {
-  OFDM_REQUIRE(branches >= 1 && depth >= 1,
-               "ConvolutionalInterleaver: branches/depth must be >= 1");
-  lines_.resize(branches);
-  heads_.assign(branches, 0);
-  for (std::size_t j = 0; j < branches; ++j) {
-    // Interleaver: branch j has delay j*M. Deinterleaver: (I-1-j)*M.
-    const std::size_t delay =
-        (deinterleave_ ? (branches - 1 - j) : j) * depth_;
-    lines_[j].assign(std::max<std::size_t>(delay, 1), 0);
-    // A zero-delay branch is modeled with a length-1 line used
-    // pass-through (see process()).
-  }
-}
-
-bytevec ConvolutionalInterleaver::process(std::span<const std::uint8_t> in) {
-  bytevec out;
-  out.reserve(in.size());
-  for (std::uint8_t v : in) {
-    const std::size_t j = branch_;
-    const std::size_t delay =
-        (deinterleave_ ? (branches_ - 1 - j) : j) * depth_;
-    if (delay == 0) {
-      out.push_back(v);
-    } else {
-      bytevec& line = lines_[j];
-      std::size_t& head = heads_[j];
-      out.push_back(line[head]);
-      line[head] = v;
-      head = (head + 1) % delay;
-    }
-    branch_ = (branch_ + 1) % branches_;
-  }
-  return out;
-}
-
-void ConvolutionalInterleaver::reset() {
-  for (auto& line : lines_) std::fill(line.begin(), line.end(), 0);
-  std::fill(heads_.begin(), heads_.end(), std::size_t{0});
-  branch_ = 0;
-}
-
 }  // namespace ofdm::coding

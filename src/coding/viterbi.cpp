@@ -39,43 +39,16 @@ ViterbiDecoder::ViterbiDecoder(ConvCode code) : code_(std::move(code)) {
   }
 }
 
-void ViterbiDecoder::strip_tail(bitvec& full) const {
-  const unsigned tail = code_.constraint_length - 1;
-  OFDM_REQUIRE_DIM(full.size() >= tail,
-                   "Viterbi: terminated code word shorter than tail");
-  full.resize(full.size() - tail);
-}
-
-bitvec ViterbiDecoder::decode_terminated(
-    std::span<const std::uint8_t> coded) const {
-  Scratch scratch;
-  bitvec out;
-  decode_terminated_into(coded, scratch, out);
-  return out;
-}
-
-void ViterbiDecoder::decode_terminated_into(
-    std::span<const std::uint8_t> coded, Scratch& scratch,
-    bitvec& out) const {
-  run_hard(coded, /*terminated=*/true, scratch, out);
-  strip_tail(out);
-}
-
-bitvec ViterbiDecoder::decode(std::span<const std::uint8_t> coded) const {
-  Scratch scratch;
-  bitvec out;
-  run_hard(coded, /*terminated=*/false, scratch, out);
-  return out;
-}
-
 template <typename FillBm>
-void ViterbiDecoder::run(std::size_t steps, bool terminated,
-                         const FillBm& fill, Scratch& scratch,
-                         bitvec& out) const {
+void ViterbiDecoder::run(std::size_t steps, const FillBm& fill,
+                         Scratch& scratch, bitvec& out) const {
   const std::size_t states = code_.num_states();
   const std::size_t half = states / 2;
   const std::size_t n_bm = std::size_t{1} << code_.num_outputs();
   const std::size_t words = (states + 63) / 64;
+  const std::size_t tail = code_.constraint_length - 1;
+  OFDM_REQUIRE_DIM(steps >= tail,
+                   "Viterbi: terminated code word shorter than tail");
 
   std::vector<double>& metric = scratch.metric;
   metric.assign(states, kUnreached);
@@ -93,15 +66,10 @@ void ViterbiDecoder::run(std::size_t steps, bool terminated,
                         dec.data() + t0 * words);
   }
 
+  // The traceback starts from the zero state that terminates the code
+  // word. State s after step t was entered with input bit s >> (K-2),
+  // from predecessor 2*(s mod half) plus its decision bit.
   std::size_t s = 0;
-  if (!terminated) {
-    for (std::size_t i = 1; i < states; ++i) {
-      if (metric[i] < metric[s]) s = i;
-    }
-  }
-
-  // State s after step t was entered with input bit s >> (K-2), from
-  // predecessor 2*(s mod half) plus its decision bit.
   const unsigned top = code_.constraint_length - 2;
   out.resize(steps);
   for (std::size_t t = steps; t-- > 0;) {
@@ -109,17 +77,18 @@ void ViterbiDecoder::run(std::size_t steps, bool terminated,
     const std::uint64_t bit = (dec[t * words + s / 64] >> (s % 64)) & 1u;
     s = 2 * (s % half) + bit;
   }
+  out.resize(steps - tail);  // strip the (K-1) tail bits
 }
 
-void ViterbiDecoder::run_hard(std::span<const std::uint8_t> coded,
-                              bool terminated, Scratch& scratch,
-                              bitvec& out) const {
+void ViterbiDecoder::decode_terminated_into(
+    std::span<const std::uint8_t> coded, Scratch& scratch,
+    bitvec& out) const {
   const unsigned n_out = code_.num_outputs();
   OFDM_REQUIRE_DIM(coded.size() % n_out == 0,
                    "Viterbi: coded length not a multiple of output count");
   const std::size_t n_bm = std::size_t{1} << n_out;
   // Hamming distance from the received bits to each expected output.
-  run(coded.size() / n_out, terminated,
+  run(coded.size() / n_out,
       [&](std::size_t t, double* bm) {
         const std::uint8_t* r = coded.data() + t * n_out;
         for (std::size_t e = 0; e < n_bm; ++e) {
@@ -135,14 +104,6 @@ void ViterbiDecoder::run_hard(std::span<const std::uint8_t> coded,
       scratch, out);
 }
 
-bitvec ViterbiDecoder::decode_soft_terminated(
-    std::span<const double> llr) const {
-  Scratch scratch;
-  bitvec out;
-  decode_soft_terminated_into(llr, scratch, out);
-  return out;
-}
-
 void ViterbiDecoder::decode_soft_terminated_into(
     std::span<const double> llr, Scratch& scratch, bitvec& out) const {
   const unsigned n_out = code_.num_outputs();
@@ -151,7 +112,7 @@ void ViterbiDecoder::decode_soft_terminated_into(
   const std::size_t n_bm = std::size_t{1} << n_out;
   // Correlation metric: expected bit 1 pays +llr, bit 0 pays -llr;
   // minimizing the sum is maximum-likelihood for llr = log P(0)/P(1).
-  run(llr.size() / n_out, /*terminated=*/true,
+  run(llr.size() / n_out,
       [&](std::size_t t, double* bm) {
         const double* l = llr.data() + t * n_out;
         for (std::size_t e = 0; e < n_bm; ++e) {
@@ -163,7 +124,6 @@ void ViterbiDecoder::decode_soft_terminated_into(
         }
       },
       scratch, out);
-  strip_tail(out);
 }
 
 }  // namespace ofdm::coding

@@ -14,9 +14,9 @@ namespace ofdm::coding {
 
 /// Maximum-likelihood sequence decoder with two branch metrics:
 ///  - hard: Hamming distance to bits 0/1; kErasure marks (from
-///    depuncture()) contribute nothing;
-///  - soft: correlation with LLRs; LLR 0 (from depuncture_soft()) is an
-///    erasure.
+///    depuncture_into()) contribute nothing;
+///  - soft: correlation with LLRs; LLR 0 (from depuncture_soft_into())
+///    is an erasure.
 ///
 /// Both run the same add-compare-select loop in butterfly order (the
 /// simd::Kernels::viterbi_acs kernel) on double path metrics; a Hamming
@@ -29,19 +29,6 @@ class ViterbiDecoder {
   /// Throws ConfigError unless the code passes coding::validate().
   explicit ViterbiDecoder(ConvCode code);
 
-  /// Decode a terminated code word (encoder used encode_terminated()):
-  /// forces the end state to zero and strips the (K-1) tail bits.
-  bitvec decode_terminated(std::span<const std::uint8_t> coded) const;
-
-  /// Decode an unterminated code word: best end state wins, all decision
-  /// bits are returned.
-  bitvec decode(std::span<const std::uint8_t> coded) const;
-
-  /// Soft-decision decoding from LLRs (convention: llr > 0 => coded bit
-  /// 0 more likely; llr == 0 == erasure). Terminated code words.
-  /// Typically worth ~2 dB over hard decisions on an AWGN channel.
-  bitvec decode_soft_terminated(std::span<const double> llr) const;
-
   /// Caller-owned buffers of one decode: the path metrics and the
   /// survivor decision words, which keep their capacity across calls.
   struct Scratch {
@@ -49,25 +36,29 @@ class ViterbiDecoder {
     std::vector<std::uint64_t> decisions;
   };
 
-  /// decode_terminated() / decode_soft_terminated() into a caller-owned
-  /// `out`, with the survivors in `scratch`: bit-identical decisions,
-  /// and no allocation once the buffers have reached the burst size.
+  /// Decode a terminated code word (encoder used encode_terminated())
+  /// into a caller-owned `out`, with the survivors in `scratch`: forces
+  /// the end state to zero and strips the (K-1) tail bits. No allocation
+  /// once the buffers have reached the burst size.
   void decode_terminated_into(std::span<const std::uint8_t> coded,
                               Scratch& scratch, bitvec& out) const;
+
+  /// Soft-decision decoding of a terminated code word from LLRs
+  /// (convention: llr > 0 => coded bit 0 more likely; llr == 0 ==
+  /// erasure), with the same buffers. Typically worth ~2 dB over hard
+  /// decisions on an AWGN channel.
   void decode_soft_terminated_into(std::span<const double> llr,
                                    Scratch& scratch, bitvec& out) const;
 
   const ConvCode& code() const { return code_; }
 
  private:
-  void run_hard(std::span<const std::uint8_t> coded, bool terminated,
-                Scratch& scratch, bitvec& out) const;
-  /// The shared forward pass and traceback; fill(t, bm) writes the
-  /// 2^n_out branch metrics of step t, indexed by expected output bits.
+  /// The shared forward pass and traceback from the zero end state,
+  /// tail bits stripped; fill(t, bm) writes the 2^n_out branch metrics
+  /// of step t, indexed by expected output bits.
   template <typename FillBm>
-  void run(std::size_t steps, bool terminated, const FillBm& fill,
-           Scratch& scratch, bitvec& out) const;
-  void strip_tail(bitvec& full) const;
+  void run(std::size_t steps, const FillBm& fill, Scratch& scratch,
+           bitvec& out) const;
 
   ConvCode code_;
   // Expected output bits (packed, generator j at bit j) of the branch

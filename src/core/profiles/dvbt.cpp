@@ -7,9 +7,8 @@
 //
 // Simplifications (DESIGN.md §4): the scattered-pilot raster is
 // represented by boosted continual pilots on every 113th carrier, the
-// outer Forney interleaver is exercised by the coding substrate tests but
-// not inserted into the burst path (frame-sized bursts would only see its
-// fill transient), and the TPS carriers are omitted.
+// outer Forney interleaver is not modelled (frame-sized bursts would only
+// see its fill transient), and the TPS carriers are omitted.
 #include <numeric>
 
 #include "core/profiles.hpp"

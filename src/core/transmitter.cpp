@@ -248,27 +248,6 @@ void Transmitter::State::encode(std::span<const std::uint8_t> payload_bits,
   filler.append(out, target - out.size());
 }
 
-cvec Transmitter::preamble_samples() const {
-  OFDM_REQUIRE(state_, kUnconfigured);
-  const OfdmParams& p = state_->params;
-  switch (p.frame.preamble) {
-    case PreambleKind::kNone:
-      return {};
-    case PreambleKind::kWlan:
-      return wlan_preamble(p);
-    case PreambleKind::kPhaseReference: {
-      const cvec data =
-          phase_reference_values(p, state_->layout.data_bins.size());
-      const cvec pil(p.pilots.base_values);
-      Modulator mod(p, state_->layout);
-      cvec out;
-      mod.emit(mod.assemble(data, pil), out);
-      return out;
-    }
-  }
-  return {};
-}
-
 Transmitter::Burst Transmitter::modulate(
     std::span<const std::uint8_t> payload_bits) {
   Burst burst;
@@ -331,7 +310,7 @@ void Transmitter::modulate_into(std::span<const std::uint8_t> payload_bits,
   // Fixed-constellation configurations with no interleaving have no
   // per-symbol bit machinery at all, so the whole coded stream is
   // block-mapped in one kernel sweep and each symbol just takes a view
-  // of its slice — the same values map_all would produce per symbol.
+  // of its slice — the same values a per-symbol map_into would give.
   const std::size_t n_data = s.layout.data_bins.size();
   const bool block_map = p.mapping == MappingKind::kFixed &&
                          !s.bit_interleaver && !s.cell_interleaver;

@@ -90,9 +90,6 @@ class Transmitter {
   /// encode_payload() of its payload, held rather than encoded again.
   const bitvec& last_coded_bits() const;
 
-  /// Training samples this configuration prepends (empty if none).
-  cvec preamble_samples() const;
-
  private:
   struct State;
   std::unique_ptr<State> state_;

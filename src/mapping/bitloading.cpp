@@ -47,16 +47,10 @@ const Constellation& DmtMapper::constellation_for(std::uint8_t load) const {
   return *cache_[load];
 }
 
-cvec DmtMapper::map_symbol(std::span<const std::uint8_t> bits) const {
-  cvec out;
-  map_symbol_into(bits, out);
-  return out;
-}
-
 void DmtMapper::map_symbol_into(std::span<const std::uint8_t> bits,
                                 cvec& out) const {
   OFDM_REQUIRE_DIM(bits.size() == bits_per_symbol_,
-                   "DmtMapper::map_symbol: wrong bit count");
+                   "DmtMapper::map_symbol_into: wrong bit count");
   out.assign(table_.size(), cplx{0.0, 0.0});
   // Each run of tones with one load is one LUT sweep of its constellation.
   std::size_t pos = 0;
@@ -74,16 +68,10 @@ void DmtMapper::map_symbol_into(std::span<const std::uint8_t> bits,
   }
 }
 
-bitvec DmtMapper::demap_symbol(std::span<const cplx> tones_in) const {
-  bitvec out;
-  demap_symbol_into(tones_in, out);
-  return out;
-}
-
 void DmtMapper::demap_symbol_into(std::span<const cplx> tones_in,
                                   bitvec& out) const {
   OFDM_REQUIRE_DIM(tones_in.size() == table_.size(),
-                   "DmtMapper::demap_symbol: tone count mismatch");
+                   "DmtMapper::demap_symbol_into: tone count mismatch");
   out.clear();
   out.reserve(bits_per_symbol_);
   for (std::size_t t = 0; t < table_.size(); ++t) {

@@ -46,18 +46,12 @@ class DmtMapper {
   std::size_t tones() const { return table_.size(); }
   std::size_t bits_per_symbol() const { return bits_per_symbol_; }
 
-  /// Map exactly bits_per_symbol() bits onto tones() complex values.
-  cvec map_symbol(std::span<const std::uint8_t> bits) const;
-
-  /// map_symbol into a caller-owned buffer (overwritten; keeps its
-  /// capacity across calls).
+  /// Map exactly bits_per_symbol() bits onto tones() complex values in a
+  /// caller-owned buffer (overwritten; keeps its capacity across calls).
   void map_symbol_into(std::span<const std::uint8_t> bits, cvec& out) const;
 
-  /// Hard demap of tones() values back to bits_per_symbol() bits.
-  bitvec demap_symbol(std::span<const cplx> tones_in) const;
-
-  /// demap_symbol into a caller-owned buffer (overwritten; keeps its
-  /// capacity across calls).
+  /// Hard demap of tones() values back to bits_per_symbol() bits in a
+  /// caller-owned buffer (overwritten; keeps its capacity across calls).
   void demap_symbol_into(std::span<const cplx> tones_in, bitvec& out) const;
 
  private:

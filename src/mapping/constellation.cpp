@@ -114,17 +114,11 @@ cplx Constellation::map(std::span<const std::uint8_t> bits) const {
   return point(bits_to_uint(bits, 0, this->bits()));
 }
 
-cvec Constellation::map_all(std::span<const std::uint8_t> bits) const {
-  cvec out;
-  map_into(bits, out);
-  return out;
-}
-
 void Constellation::map_into(std::span<const std::uint8_t> bits,
                              cvec& out) const {
   const std::size_t bps = this->bits();
   OFDM_REQUIRE_DIM(bits.size() % bps == 0,
-                   "Constellation::map_all: bit count not a multiple of "
+                   "Constellation::map_into: bit count not a multiple of "
                    "bits per symbol");
   out.resize(bits.size() / bps);
   map_into(bits, std::span<cplx>(out));
@@ -155,12 +149,6 @@ void Constellation::demap_scaled(cplx scaled, bitvec& out) const {
 
 void Constellation::demap(cplx symbol, bitvec& out) const {
   demap_scaled(symbol * norm_, out);
-}
-
-bitvec Constellation::demap_all(std::span<const cplx> symbols) const {
-  bitvec out;
-  demap_into(symbols, out);
-  return out;
 }
 
 void Constellation::demap_into(std::span<const cplx> symbols,

@@ -53,25 +53,20 @@ class Constellation {
   /// symbol.
   cplx map(std::span<const std::uint8_t> bits) const;
 
-  /// Map a whole stream; length must be a multiple of bits().
-  cvec map_all(std::span<const std::uint8_t> bits) const;
-
-  /// map_all into a caller-owned buffer (resized to the symbol count):
-  /// the no-allocation path for batched transmit.
+  /// Map a whole stream (length a multiple of bits()) into a
+  /// caller-owned buffer, resized to the symbol count: the
+  /// no-allocation path for batched transmit.
   void map_into(std::span<const std::uint8_t> bits, cvec& out) const;
 
-  /// map_all into a caller-sized span (out.size() symbols).
+  /// map_into a caller-sized span (out.size() symbols).
   void map_into(std::span<const std::uint8_t> bits,
                 std::span<cplx> out) const;
 
   /// Hard-decision demap of one symbol back to bits (appended to `out`).
   void demap(cplx symbol, bitvec& out) const;
 
-  /// Demap a symbol stream.
-  bitvec demap_all(std::span<const cplx> symbols) const;
-
-  /// demap_all into a caller-owned buffer (overwritten; keeps its
-  /// capacity across calls).
+  /// Hard-decision demap of a symbol stream into a caller-owned buffer
+  /// (overwritten; keeps its capacity across calls).
   void demap_into(std::span<const cplx> symbols, bitvec& out) const;
 
   /// Max-log soft demap of a symbol stream into a caller-owned buffer

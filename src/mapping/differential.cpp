@@ -77,16 +77,10 @@ std::size_t DifferentialMapper::decide_bits(double dphase,
   return 0;
 }
 
-cvec DifferentialMapper::map_symbol(std::span<const std::uint8_t> bits) {
-  cvec out;
-  map_symbol_into(bits, out);
-  return out;
-}
-
 void DifferentialMapper::map_symbol_into(std::span<const std::uint8_t> bits,
                                          cvec& out) {
   OFDM_REQUIRE_DIM(bits.size() == bits_per_ofdm_symbol(),
-                   "DifferentialMapper::map_symbol: wrong bit count");
+                   "DifferentialMapper::map_symbol_into: wrong bit count");
   const std::size_t bps = diff_bits_per_symbol(kind_);
   out.resize(carriers_);
   for (std::size_t c = 0; c < carriers_; ++c) {
@@ -97,16 +91,10 @@ void DifferentialMapper::map_symbol_into(std::span<const std::uint8_t> bits,
   }
 }
 
-bitvec DifferentialMapper::demap_symbol(std::span<const cplx> received) {
-  bitvec out;
-  demap_symbol_into(received, out);
-  return out;
-}
-
 void DifferentialMapper::demap_symbol_into(std::span<const cplx> received,
                                            bitvec& out) {
   OFDM_REQUIRE_DIM(received.size() == carriers_,
-                   "DifferentialMapper::demap_symbol: size mismatch");
+                   "DifferentialMapper::demap_symbol_into: size mismatch");
   out.clear();
   out.reserve(bits_per_ofdm_symbol());
   for (std::size_t c = 0; c < carriers_; ++c) {

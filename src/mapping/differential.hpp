@@ -38,20 +38,16 @@ class DifferentialMapper {
   /// Reset to the all-(1+0j) reference.
   void reset();
 
-  /// Map one OFDM symbol worth of bits onto all carriers; returns the new
-  /// complex value per carrier and advances the internal reference.
-  cvec map_symbol(std::span<const std::uint8_t> bits);
-
-  /// map_symbol into a caller-owned buffer (resized to carriers(); keeps
-  /// its capacity across calls).
+  /// Map one OFDM symbol worth of bits onto all carriers: writes the new
+  /// complex value per carrier into a caller-owned buffer (resized to
+  /// carriers(); keeps its capacity across calls) and advances the
+  /// internal reference.
   void map_symbol_into(std::span<const std::uint8_t> bits, cvec& out);
 
   /// The demapper counterpart: recover bits from the phase change between
-  /// the stored reference and `received`, then advance the reference.
-  bitvec demap_symbol(std::span<const cplx> received);
-
-  /// demap_symbol into a caller-owned buffer (overwritten; keeps its
-  /// capacity across calls).
+  /// the stored reference and `received` into a caller-owned buffer
+  /// (overwritten; keeps its capacity across calls), then advance the
+  /// reference.
   void demap_symbol_into(std::span<const cplx> received, bitvec& out);
 
  private:

@@ -36,10 +36,4 @@ void ProbeSet::reset() {
   for (BlockProbe& p : probes_) p.reset();
 }
 
-double ProbeSet::total_busy_seconds() const {
-  double s = 0.0;
-  for (const BlockProbe& p : probes_) s += p.busy_seconds();
-  return s;
-}
-
 }  // namespace ofdm::obs

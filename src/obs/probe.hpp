@@ -137,9 +137,6 @@ class ProbeSet {
   /// Zero every probe's counters (the registrations stay).
   void reset();
 
-  /// Sum of per-probe busy time, in seconds.
-  double total_busy_seconds() const;
-
  private:
   ProbeConfig cfg_;
   std::deque<BlockProbe> probes_;

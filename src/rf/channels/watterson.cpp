@@ -45,13 +45,6 @@ void WattersonChannel::init_processes() {
   }
 }
 
-cvec WattersonChannel::current_gains() const {
-  cvec g;
-  g.reserve(paths_.size());
-  for (const Path& p : paths_) g.push_back(p.fading.gain());
-  return g;
-}
-
 double WattersonChannel::realized_spread_hz(std::size_t path) const {
   const double sigma_rad = paths_.at(path).fading.realized_sigma_rad();
   return 2.0 * sigma_rad * sample_rate_ / kTwoPi;

@@ -48,9 +48,6 @@ class WattersonChannel : public Block {
   void save_state(StateWriter& w) const override;
   void load_state(StateReader& r) override;
 
-  /// Instantaneous path gains at the current stream position.
-  cvec current_gains() const;
-
   std::size_t n_paths() const { return paths_.size(); }
   double doppler_hz() const { return doppler_hz_; }
 

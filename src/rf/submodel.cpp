@@ -14,10 +14,6 @@ Submodel::Submodel(core::OfdmParams params, std::size_t gap_samples,
       rng_(payload_seed),
       payload_seed_(payload_seed) {}
 
-void Submodel::set_payload_generator(PayloadGenerator gen) {
-  generator_ = std::move(gen);
-}
-
 void Submodel::configure(core::OfdmParams params) {
   tx_.configure(std::move(params));
   // Flush *all* streaming state, not just the buffered tail: the frame
@@ -32,10 +28,7 @@ void Submodel::configure(core::OfdmParams params) {
 
 void Submodel::refill() {
   const std::size_t n_bits = tx_.recommended_payload_bits();
-  const bitvec payload =
-      generator_ ? generator_(n_bits) : rng_.bits(n_bits);
-  OFDM_REQUIRE(payload.size() == n_bits,
-               "Submodel: payload generator returned wrong bit count");
+  const bitvec payload = rng_.bits(n_bits);
   auto burst = tx_.modulate(payload);
   buffer_ = std::move(burst.samples);
   buffer_.insert(buffer_.end(), gap_samples_, cplx{0.0, 0.0});

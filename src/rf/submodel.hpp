@@ -6,11 +6,10 @@
 //
 // Submodel wraps a configured Mother Model (core::Transmitter) so it
 // presents the rf::Source interface: the RF designer pulls baseband
-// samples and the wrapper keeps generating frames of (pseudo-random or
-// user-provided) payload, with a configurable inter-frame idle gap.
+// samples and the wrapper keeps generating frames of pseudo-random
+// payload, with a configurable inter-frame idle gap.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "common/rng.hpp"
@@ -22,13 +21,9 @@ namespace ofdm::rf {
 class Submodel : public Source {
  public:
   /// Wrap a transmitter configuration. `gap_samples` of silence separate
-  /// consecutive frames; payload bits default to a seeded PRNG stream.
+  /// consecutive frames; payload bits come from a seeded PRNG stream.
   explicit Submodel(core::OfdmParams params, std::size_t gap_samples = 0,
                     std::uint64_t payload_seed = 1);
-
-  /// Replace the payload generator (e.g. with recorded traffic).
-  using PayloadGenerator = std::function<bitvec(std::size_t n_bits)>;
-  void set_payload_generator(PayloadGenerator gen);
 
   /// Reconfigure to a different standard *in place* — the Mother Model
   /// reconfiguration exposed at the RF-simulator level. All streaming
@@ -50,9 +45,7 @@ class Submodel : public Source {
   std::string name() const override;
 
   /// Checkpoint/restore: captures the payload PRNG, the buffered frame
-  /// tail and read position, and the frame counter. A custom payload
-  /// generator's own state is NOT captured — with one attached, resume
-  /// is bit-identical only if the generator is itself reproducible.
+  /// tail and read position, and the frame counter.
   void save_state(StateWriter& w) const override;
   void load_state(StateReader& r) override;
 
@@ -63,7 +56,6 @@ class Submodel : public Source {
   std::size_t gap_samples_;
   Rng rng_;
   std::uint64_t payload_seed_;
-  PayloadGenerator generator_;
   cvec buffer_;
   std::size_t read_pos_ = 0;
   std::size_t frames_ = 0;

@@ -52,9 +52,12 @@ TEST(DmtMapper, MapDemapRoundTripMixedTable) {
 
   Rng rng(101);
   const bitvec bits = rng.bits(mapper.bits_per_symbol());
-  const cvec tones = mapper.map_symbol(bits);
+  cvec tones;
+  mapper.map_symbol_into(bits, tones);
   ASSERT_EQ(tones.size(), table.size());
-  EXPECT_EQ(mapper.demap_symbol(tones), bits);
+  bitvec back;
+  mapper.demap_symbol_into(tones, back);
+  EXPECT_EQ(back, bits);
 }
 
 // Gray-coded PAM level of an n-bit axis label, computed directly.
@@ -77,9 +80,10 @@ TEST(DmtMapper, LutRunsMatchConstellationMapForEveryLoad) {
   }
   DmtMapper mapper(table);
   Rng rng(105);
+  cvec tones;
   for (int trial = 0; trial < 20; ++trial) {
     const bitvec bits = rng.bits(mapper.bits_per_symbol());
-    const cvec tones = mapper.map_symbol(bits);
+    mapper.map_symbol_into(bits, tones);
     std::size_t pos = 0;
     for (std::size_t t = 0; t < table.size(); ++t) {
       const std::size_t load = table[t];
@@ -119,12 +123,15 @@ TEST_P(PerToneLoad, SingleToneRoundTripAllowsNoise) {
   const double axis_levels =
       std::pow(2.0, std::ceil(static_cast<double>(load) / 2.0));
   const double margin = 0.4 / (axis_levels * 2.0);
+  cvec tones;
+  bitvec back;
   for (int trial = 0; trial < 50; ++trial) {
     const bitvec bits = rng.bits(load);
-    cvec tones = mapper.map_symbol(bits);
+    mapper.map_symbol_into(bits, tones);
     tones[0] += cplx{rng.uniform(-margin, margin),
                      rng.uniform(-margin, margin)};
-    EXPECT_EQ(mapper.demap_symbol(tones), bits);
+    mapper.demap_symbol_into(tones, back);
+    EXPECT_EQ(back, bits);
   }
 }
 
@@ -134,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(Loads1To15, PerToneLoad,
 TEST(DmtMapper, UnusedTonesStayZero) {
   DmtMapper mapper(BitTable{0, 4, 0, 2, 0});
   Rng rng(103);
-  const cvec tones = mapper.map_symbol(rng.bits(6));
+  cvec tones;
+  mapper.map_symbol_into(rng.bits(6), tones);
   EXPECT_EQ(std::abs(tones[0]), 0.0);
   EXPECT_EQ(std::abs(tones[2]), 0.0);
   EXPECT_EQ(std::abs(tones[4]), 0.0);
@@ -147,8 +155,9 @@ TEST(DmtMapper, UnitAveragePowerPerLoadedTone) {
   Rng rng(104);
   double p = 0.0;
   const int n = 4000;
+  cvec tones;
   for (int i = 0; i < n; ++i) {
-    const cvec tones = mapper.map_symbol(rng.bits(32));
+    mapper.map_symbol_into(rng.bits(32), tones);
     for (const cplx& t : tones) p += std::norm(t);
   }
   EXPECT_NEAR(p / (4.0 * n), 1.0, 0.05);
@@ -157,7 +166,8 @@ TEST(DmtMapper, UnitAveragePowerPerLoadedTone) {
 TEST(DmtMapper, RejectsOversizedLoads) {
   EXPECT_THROW(DmtMapper(BitTable{16}), Error);
   DmtMapper ok(BitTable{4});
-  EXPECT_THROW(ok.map_symbol(bitvec(3, 0)), DimensionError);
+  cvec tones;
+  EXPECT_THROW(ok.map_symbol_into(bitvec(3, 0), tones), DimensionError);
 }
 
 }  // namespace

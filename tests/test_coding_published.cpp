@@ -53,7 +53,9 @@ TEST(ConvK7Published, ViterbiRecoversHandDecodedVector) {
   received[9] ^= 1;
   received[17] ^= 1;
   received[25] ^= 1;
-  const bitvec out = dec.decode_terminated(received);
+  coding::ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_terminated_into(received, scratch, out);
   ASSERT_EQ(out.size(), std::size(kMessage));
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], kMessage[i]) << "message bit " << i;
@@ -134,6 +136,7 @@ TEST(ReedSolomonPublished, Rs255_239FailsBeyondRadius) {
 
 TEST(InterleaverPublished, RoundTripIdentityForEveryStandardGeometry) {
   std::size_t exercised = 0;
+  bitvec mixed, round;
   for (const core::Standard s : core::kStandardFamily) {
     const core::OfdmParams p = core::profile_for(s);
     const std::string name = core::standard_name(s);
@@ -176,9 +179,12 @@ TEST(InterleaverPublished, RoundTripIdentityForEveryStandardGeometry) {
     // ... and deinterleave must invert interleave exactly.
     Rng rng = Rng::substream(17, exercised, 0);
     const bitvec data = rng.bits(block);
-    const bitvec round = il->deinterleave(
-        std::span<const std::uint8_t>(il->interleave(
-            std::span<const std::uint8_t>(data))));
+    mixed.resize(block);
+    round.resize(block);
+    il->interleave_into(std::span<const std::uint8_t>(data),
+                        std::span<std::uint8_t>(mixed));
+    il->deinterleave_into(std::span<const std::uint8_t>(mixed),
+                          std::span<std::uint8_t>(round));
     EXPECT_EQ(round, data) << name;
   }
   // WLAN a/g, DRM (cell), DAB, DVB-T, 802.16a, HomePlug interleave;

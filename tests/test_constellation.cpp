@@ -126,19 +126,23 @@ TEST(Constellation, RectangularOddBitLoads) {
   EXPECT_NEAR(e / 8.0, 1.0, 1e-12);
 }
 
-TEST(Constellation, MapAllChunksCorrectly) {
+TEST(Constellation, MapIntoChunksCorrectly) {
   const Constellation c = Constellation::make(Scheme::kQpsk);
   Rng rng(82);
   const bitvec bits = rng.bits(64);
-  const cvec symbols = c.map_all(bits);
+  cvec symbols;
+  c.map_into(bits, symbols);
   ASSERT_EQ(symbols.size(), 32u);
-  EXPECT_EQ(c.demap_all(symbols), bits);
+  bitvec back;
+  c.demap_into(symbols, back);
+  EXPECT_EQ(back, bits);
 }
 
 TEST(Constellation, RejectsBadSizes) {
   const Constellation c = Constellation::make(Scheme::kQam16);
   EXPECT_THROW(c.map(bitvec{1, 0}), DimensionError);
-  EXPECT_THROW(c.map_all(bitvec(6, 0)), DimensionError);
+  cvec out;
+  EXPECT_THROW(c.map_into(bitvec(6, 0), out), DimensionError);
 }
 
 }  // namespace

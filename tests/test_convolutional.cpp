@@ -68,7 +68,8 @@ TEST(Puncture, DepunctureRestoresGeometryWithErasures) {
   const bitvec coded = enc.encode_terminated(msg);
   const PuncturePattern pat = puncture_3_4();
   const bitvec punct = puncture(coded, pat);
-  const bitvec rest = depuncture(punct, pat, coded.size());
+  bitvec rest;
+  depuncture_into(punct, pat, coded.size(), rest);
   ASSERT_EQ(rest.size(), coded.size());
   std::size_t erasures = 0;
   for (std::size_t i = 0; i < rest.size(); ++i) {
@@ -101,8 +102,11 @@ TEST_P(ViterbiRates, CleanDecodingIsExact) {
   const bitvec msg = rng.bits(240 - 6);
   const PuncturePattern pat = pattern();
   const bitvec coded = puncture(enc.encode_terminated(msg), pat);
-  const bitvec rest = depuncture(coded, pat, (msg.size() + 6) * 2);
-  EXPECT_EQ(dec.decode_terminated(rest), msg);
+  bitvec rest, out;
+  ViterbiDecoder::Scratch scratch;
+  depuncture_into(coded, pat, (msg.size() + 6) * 2, rest);
+  dec.decode_terminated_into(rest, scratch, out);
+  EXPECT_EQ(out, msg);
 }
 
 TEST_P(ViterbiRates, CorrectsScatteredBitErrors) {
@@ -117,27 +121,14 @@ TEST_P(ViterbiRates, CorrectsScatteredBitErrors) {
   for (std::size_t i = 20; i + 50 < coded.size(); i += 97) {
     coded[i] ^= 1u;
   }
-  const bitvec rest = depuncture(coded, pat, (msg.size() + 6) * 2);
-  EXPECT_EQ(dec.decode_terminated(rest), msg);
+  bitvec rest, out;
+  ViterbiDecoder::Scratch scratch;
+  depuncture_into(coded, pat, (msg.size() + 6) * 2, rest);
+  dec.decode_terminated_into(rest, scratch, out);
+  EXPECT_EQ(out, msg);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, ViterbiRates, ::testing::Values(0, 1, 2));
-
-TEST(Viterbi, UnterminatedDecodingWorks) {
-  const ConvCode code = k7_industry_code();
-  const ConvEncoder enc(code);
-  const ViterbiDecoder dec(code);
-  Rng rng(45);
-  const bitvec msg = rng.bits(100);
-  const bitvec coded = enc.encode(msg);
-  const bitvec decoded = dec.decode(coded);
-  ASSERT_EQ(decoded.size(), msg.size());
-  // The tail of an unterminated decode can be ambiguous; the body must
-  // match exactly.
-  for (std::size_t i = 0; i + 8 < msg.size(); ++i) {
-    EXPECT_EQ(decoded[i], msg[i]) << "position " << i;
-  }
-}
 
 TEST(Viterbi, BurstsBeyondCapacityFail) {
   // A long error burst must defeat the code (sanity: the decoder is not
@@ -149,7 +140,10 @@ TEST(Viterbi, BurstsBeyondCapacityFail) {
   const bitvec msg = rng.bits(200);
   bitvec coded = enc.encode_terminated(msg);
   for (std::size_t i = 100; i < 140; ++i) coded[i] ^= 1u;
-  EXPECT_NE(dec.decode_terminated(coded), msg);
+  ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_terminated_into(coded, scratch, out);
+  EXPECT_NE(out, msg);
 }
 
 TEST(Viterbi, ShorterConstraintLengthCode) {
@@ -161,7 +155,10 @@ TEST(Viterbi, ShorterConstraintLengthCode) {
   const ViterbiDecoder dec(code);
   Rng rng(47);
   const bitvec msg = rng.bits(80);
-  EXPECT_EQ(dec.decode_terminated(enc.encode_terminated(msg)), msg);
+  ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_terminated_into(enc.encode_terminated(msg), scratch, out);
+  EXPECT_EQ(out, msg);
 }
 
 }  // namespace
@@ -187,7 +184,10 @@ TEST(ViterbiSoft, CleanLlrsDecodeExactly) {
   Rng rng(48);
   const bitvec msg = rng.bits(200);
   const rvec llr = to_llr(enc.encode_terminated(msg), 4.0);
-  EXPECT_EQ(dec.decode_soft_terminated(llr), msg);
+  ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_soft_terminated_into(llr, scratch, out);
+  EXPECT_EQ(out, msg);
 }
 
 TEST(ViterbiSoft, ConfidenceWeightingBeatsHardDecisions) {
@@ -208,8 +208,12 @@ TEST(ViterbiSoft, ConfidenceWeightingBeatsHardDecisions) {
     hard[i] ^= 1u;
     llr[i] = hard[i] ? -0.05 : 0.05;
   }
-  EXPECT_NE(dec.decode_terminated(hard), msg);      // hard fails
-  EXPECT_EQ(dec.decode_soft_terminated(llr), msg);  // soft recovers
+  ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_terminated_into(hard, scratch, out);
+  EXPECT_NE(out, msg);  // hard fails
+  dec.decode_soft_terminated_into(llr, scratch, out);
+  EXPECT_EQ(out, msg);  // soft recovers
 }
 
 TEST(ViterbiSoft, DepunctureSoftInsertsZeroLlrs) {
@@ -220,12 +224,15 @@ TEST(ViterbiSoft, DepunctureSoftInsertsZeroLlrs) {
   const bitvec msg = rng.bits(120);
   const PuncturePattern pat = puncture_3_4();
   const bitvec punct = puncture(enc.encode_terminated(msg), pat);
-  const rvec llr =
-      depuncture_soft(to_llr(punct, 2.0), pat, (msg.size() + 6) * 2);
+  rvec llr;
+  depuncture_soft_into(to_llr(punct, 2.0), pat, (msg.size() + 6) * 2, llr);
   std::size_t zeros = 0;
   for (double l : llr) zeros += l == 0.0;
   EXPECT_EQ(zeros, (msg.size() + 6) * 2 - punct.size());
-  EXPECT_EQ(dec.decode_soft_terminated(llr), msg);
+  ViterbiDecoder::Scratch scratch;
+  bitvec out;
+  dec.decode_soft_terminated_into(llr, scratch, out);
+  EXPECT_EQ(out, msg);
 }
 
 }  // namespace
@@ -254,10 +261,9 @@ const PuncturePattern& oracle_pattern(int rate) {
 }
 
 /// Every message of `len` bits (index i = message bits LSB-first) and its
-/// mother code word, terminated or not.
+/// terminated mother code word.
 std::vector<std::pair<bitvec, bitvec>> code_book(const ConvCode& code,
-                                                 std::size_t len,
-                                                 bool terminated) {
+                                                 std::size_t len) {
   const ConvEncoder enc(code);
   std::vector<std::pair<bitvec, bitvec>> book;
   for (std::size_t i = 0; i < (std::size_t{1} << len); ++i) {
@@ -265,7 +271,7 @@ std::vector<std::pair<bitvec, bitvec>> code_book(const ConvCode& code,
     for (std::size_t b = 0; b < len; ++b) {
       msg.push_back(static_cast<std::uint8_t>((i >> b) & 1u));
     }
-    bitvec cw = terminated ? enc.encode_terminated(msg) : enc.encode(msg);
+    bitvec cw = enc.encode_terminated(msg);
     book.emplace_back(std::move(msg), std::move(cw));
   }
   return book;
@@ -309,15 +315,18 @@ TEST_P(ViterbiOracle, SoftDecodingReturnsTheMinimumMetricMessage) {
   const ConvCode c = code();
   const ViterbiDecoder dec(c);
   Rng rng(60 + 10 * c.constraint_length + std::get<1>(GetParam()));
+  rvec llr;
+  ViterbiDecoder::Scratch scratch;
+  bitvec decoded;
   for (std::size_t len = 1; len <= 10; ++len) {
-    const auto book = code_book(c, len, /*terminated=*/true);
+    const auto book = code_book(c, len);
     const std::size_t mother = book[0].second.size();
     const std::size_t kept = puncture(book[0].second, pattern()).size();
     for (int trial = 0; trial < 4; ++trial) {
       // Continuous random LLRs: no two code words tie.
       rvec punct(kept);
       for (double& l : punct) l = rng.uniform(-2.0, 2.0);
-      const rvec llr = depuncture_soft(punct, pattern(), mother);
+      depuncture_soft_into(punct, pattern(), mother, llr);
       std::size_t best = 0;
       double best_metric =
           correlation(llr, book[0].second, c.num_outputs());
@@ -328,7 +337,8 @@ TEST_P(ViterbiOracle, SoftDecodingReturnsTheMinimumMetricMessage) {
           best = i;
         }
       }
-      EXPECT_EQ(dec.decode_soft_terminated(llr), book[best].first)
+      dec.decode_soft_terminated_into(llr, scratch, decoded);
+      EXPECT_EQ(decoded, book[best].first)
           << "K=" << c.constraint_length << " len=" << len
           << " trial=" << trial;
     }
@@ -340,30 +350,28 @@ TEST_P(ViterbiOracle, HardDecodingReachesTheMinimumHammingDistance) {
   const ConvEncoder enc(c);
   const ViterbiDecoder dec(c);
   Rng rng(80 + 10 * c.constraint_length + std::get<1>(GetParam()));
-  for (bool terminated : {true, false}) {
-    for (std::size_t len = 1; len <= 10; ++len) {
-      const auto book = code_book(c, len, terminated);
-      const std::size_t mother = book[0].second.size();
-      const std::size_t kept = puncture(book[0].second, pattern()).size();
-      for (int trial = 0; trial < 4; ++trial) {
-        // Random bits plus random erasures on top of the stolen ones.
-        bitvec received = depuncture(rng.bits(kept), pattern(), mother);
-        for (std::uint8_t& r : received) {
-          if (rng.uniform(0.0, 1.0) < 0.15) r = kErasure;
-        }
-        std::size_t best = hamming(received, book[0].second);
-        for (const auto& entry : book) {
-          best = std::min(best, hamming(received, entry.second));
-        }
-        const bitvec decoded = terminated ? dec.decode_terminated(received)
-                                          : dec.decode(received);
-        ASSERT_EQ(decoded.size(), len);
-        const bitvec cw = terminated ? enc.encode_terminated(decoded)
-                                     : enc.encode(decoded);
-        EXPECT_EQ(hamming(received, cw), best)
-            << "K=" << c.constraint_length << " len=" << len
-            << " terminated=" << terminated << " trial=" << trial;
+  bitvec received;
+  ViterbiDecoder::Scratch scratch;
+  bitvec decoded;
+  for (std::size_t len = 1; len <= 10; ++len) {
+    const auto book = code_book(c, len);
+    const std::size_t mother = book[0].second.size();
+    const std::size_t kept = puncture(book[0].second, pattern()).size();
+    for (int trial = 0; trial < 4; ++trial) {
+      // Random bits plus random erasures on top of the stolen ones.
+      depuncture_into(rng.bits(kept), pattern(), mother, received);
+      for (std::uint8_t& r : received) {
+        if (rng.uniform(0.0, 1.0) < 0.15) r = kErasure;
       }
+      std::size_t best = hamming(received, book[0].second);
+      for (const auto& entry : book) {
+        best = std::min(best, hamming(received, entry.second));
+      }
+      dec.decode_terminated_into(received, scratch, decoded);
+      ASSERT_EQ(decoded.size(), len);
+      EXPECT_EQ(hamming(received, enc.encode_terminated(decoded)), best)
+          << "K=" << c.constraint_length << " len=" << len
+          << " trial=" << trial;
     }
   }
 }

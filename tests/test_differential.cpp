@@ -18,10 +18,13 @@ TEST_P(AllDiffKinds, RoundTripOverManySymbols) {
   DifferentialMapper tx(GetParam(), carriers);
   DifferentialMapper rx(GetParam(), carriers);
   Rng rng(91);
+  cvec mapped;
+  bitvec back;
   for (int sym = 0; sym < 20; ++sym) {
     const bitvec bits = rng.bits(tx.bits_per_ofdm_symbol());
-    const cvec mapped = tx.map_symbol(bits);
-    EXPECT_EQ(rx.demap_symbol(mapped), bits) << "symbol " << sym;
+    tx.map_symbol_into(bits, mapped);
+    rx.demap_symbol_into(mapped, back);
+    EXPECT_EQ(back, bits) << "symbol " << sym;
   }
 }
 
@@ -39,11 +42,14 @@ TEST_P(AllDiffKinds, FlatRotationIsTransparent) {
   rx.reset(ref);
 
   Rng rng(92);
+  cvec mapped;
+  bitvec back;
   for (int sym = 0; sym < 10; ++sym) {
     const bitvec bits = rng.bits(tx.bits_per_ofdm_symbol());
-    cvec mapped = tx.map_symbol(bits);
+    tx.map_symbol_into(bits, mapped);
     for (cplx& v : mapped) v *= rot;
-    EXPECT_EQ(rx.demap_symbol(mapped), bits);
+    rx.demap_symbol_into(mapped, back);
+    EXPECT_EQ(back, bits);
   }
 }
 
@@ -54,16 +60,18 @@ INSTANTIATE_TEST_SUITE_P(All, AllDiffKinds,
 
 TEST(Differential, DbpskPhases) {
   DifferentialMapper m(DiffKind::kDbpsk, 1);
-  const cvec s0 = m.map_symbol(bitvec{0});
-  EXPECT_NEAR(s0[0].real(), 1.0, 1e-12);  // no phase change
-  const cvec s1 = m.map_symbol(bitvec{1});
-  EXPECT_NEAR(s1[0].real(), -1.0, 1e-12);  // pi flip
+  cvec s;
+  m.map_symbol_into(bitvec{0}, s);
+  EXPECT_NEAR(s[0].real(), 1.0, 1e-12);  // no phase change
+  m.map_symbol_into(bitvec{1}, s);
+  EXPECT_NEAR(s[0].real(), -1.0, 1e-12);  // pi flip
 }
 
 TEST(Differential, DqpskGrayIncrements) {
   DifferentialMapper m(DiffKind::kDqpsk, 1);
   // 01 -> +pi/2 from the (1,0) reference.
-  const cvec s = m.map_symbol(bitvec{0, 1});
+  cvec s;
+  m.map_symbol_into(bitvec{0, 1}, s);
   EXPECT_NEAR(s[0].real(), 0.0, 1e-12);
   EXPECT_NEAR(s[0].imag(), 1.0, 1e-12);
 }
@@ -73,8 +81,9 @@ TEST(Differential, Pi4AlternatesBetweenGrids) {
   // grid, even ones back on the cardinal grid.
   DifferentialMapper m(DiffKind::kPi4Dqpsk, 1);
   Rng rng(93);
+  cvec s;
   for (int sym = 0; sym < 8; ++sym) {
-    const cvec s = m.map_symbol(rng.bits(2));
+    m.map_symbol_into(rng.bits(2), s);
     const double phase = std::arg(s[0]);
     const long n = std::lround(phase / (kPi / 4.0));
     EXPECT_NEAR(phase, static_cast<double>(n) * kPi / 4.0, 1e-9);
@@ -86,8 +95,10 @@ TEST(Differential, Pi4AlternatesBetweenGrids) {
 TEST(Differential, UnitModulusAlways) {
   DifferentialMapper m(DiffKind::kPi4Dqpsk, 4);
   Rng rng(94);
+  cvec s;
   for (int sym = 0; sym < 50; ++sym) {
-    for (const cplx& v : m.map_symbol(rng.bits(8))) {
+    m.map_symbol_into(rng.bits(8), s);
+    for (const cplx& v : s) {
       EXPECT_NEAR(std::abs(v), 1.0, 1e-12);
     }
   }
@@ -97,9 +108,10 @@ TEST(Differential, ResetRestoresReference) {
   DifferentialMapper m(DiffKind::kDqpsk, 2);
   Rng rng(95);
   const bitvec bits = rng.bits(4);
-  const cvec first = m.map_symbol(bits);
+  cvec first, again;
+  m.map_symbol_into(bits, first);
   m.reset();
-  const cvec again = m.map_symbol(bits);
+  m.map_symbol_into(bits, again);
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_NEAR(std::abs(first[i] - again[i]), 0.0, 1e-12);
   }

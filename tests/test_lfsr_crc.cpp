@@ -1,10 +1,8 @@
-// Scrambler/LFSR and CRC tests, anchored to published vectors:
-//  * the 127-bit 802.11a scrambler sequence (IEEE 802.11a-1999 17.3.5.4)
-//  * Rocksoft check values for CRC-32 / CRC-16
+// Scrambler/LFSR tests, anchored to the 127-bit 802.11a scrambler
+// sequence (IEEE 802.11a-1999 17.3.5.4).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "coding/crc.hpp"
 #include "coding/lfsr.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
@@ -203,46 +201,6 @@ TEST(Scrambler, ActuallyRandomizes) {
   for (std::uint8_t b : out) ones += b;
   EXPECT_GT(ones, 60u);
   EXPECT_LT(ones, 140u);
-}
-
-TEST(Crc, Crc32CheckValue) {
-  // Rocksoft "check": CRC-32 of ASCII "123456789" = 0xCBF43926.
-  const bytevec msg = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(make_crc32().compute(msg), 0xCBF43926ull);
-}
-
-TEST(Crc, Crc16GenibusCheckValue) {
-  // CRC-16/GENIBUS (poly 0x1021, init 0xFFFF, xorout 0xFFFF, no reflect)
-  // is the DAB FIB CRC; its check value is 0xD64E.
-  const bytevec msg = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(make_crc16_ccitt().compute(msg), 0xD64Eull);
-}
-
-TEST(Crc, Crc8CheckValue) {
-  // CRC-8/DVB-S2 (poly 0xD5): check value 0xBC.
-  const bytevec msg = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(make_crc8().compute(msg), 0xBCull);
-}
-
-TEST(Crc, DetectsSingleBitErrors) {
-  Rng rng(34);
-  const bytevec msg = rng.bytes(32);
-  const Crc crc = make_crc32();
-  const std::uint64_t good = crc.compute(msg);
-  for (std::size_t byte = 0; byte < msg.size(); byte += 5) {
-    for (int bit = 0; bit < 8; bit += 3) {
-      bytevec bad = msg;
-      bad[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_NE(crc.compute(bad), good);
-    }
-  }
-}
-
-TEST(Crc, BitLevelMatchesByteLevel) {
-  Rng rng(35);
-  const bytevec msg = rng.bytes(16);
-  const Crc crc = make_crc16_ccitt();
-  EXPECT_EQ(crc.compute_bits(bytes_to_bits_msb(msg)), crc.compute(msg));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "core/preamble.hpp"
 #include "core/profiles.hpp"
 #include "core/transmitter.hpp"
 
@@ -151,7 +152,7 @@ TEST(Transmitter, PreambleSamplesMatchBurstHead) {
   Transmitter tx(profile_wlan_80211a());
   Rng rng(9);
   const auto burst = tx.modulate(rng.bits(200));
-  const cvec pre = tx.preamble_samples();
+  const cvec pre = wlan_preamble(profile_wlan_80211a());
   ASSERT_EQ(pre.size(), burst.preamble_samples);
   for (std::size_t i = 0; i < pre.size(); ++i) {
     EXPECT_NEAR(std::abs(pre[i] - burst.samples[i]), 0.0, 1e-12);
